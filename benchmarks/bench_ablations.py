@@ -34,14 +34,11 @@ from repro.sim.interpreter import Interpreter
 from _bench_common import build_program, emit_table
 
 
-def simulate(built, *, cycle_model=None, use_decode_cache=True,
-             use_prediction=True, engine=None, max_instructions=None,
+def simulate(built, *, cycle_model=None, engine=None, max_instructions=None,
              chain=True):
     program = load_executable(built.elf, built.arch)
     interp = Interpreter(
-        program.state, cycle_model=cycle_model,
-        use_decode_cache=use_decode_cache, use_prediction=use_prediction,
-        engine=engine,
+        program.state, cycle_model=cycle_model, engine=engine,
     )
     if interp.superblock is not None:
         interp.superblock.chain = chain
@@ -56,9 +53,9 @@ def test_ablation_decode_cache(benchmark, table_writer):
         return simulate(built)[0]
 
     stats = benchmark.pedantic(cached, rounds=2, iterations=1)
-    nocache_stats = simulate(built, use_decode_cache=False,
+    nocache_stats = simulate(built, engine="nocache",
                              max_instructions=15_000)[0]
-    nopred_stats = simulate(built, use_prediction=False)[0]
+    nopred_stats = simulate(built, engine="cache")[0]
     lines = [
         f"{'variant':<24} {'MIPS':>8} {'decodes':>9} {'lookups':>9}",
         f"{'no decode cache':<24} {nocache_stats.mips:>8.3f} "

@@ -35,16 +35,12 @@ N_FAST = 200_000     # instruction budget for cached variants
 N_SLOW = 15_000      # without the decode cache every instr decodes
 
 
-def fresh_interpreter(program_builder, *, cycle_model=None,
-                      use_decode_cache=True, use_prediction=True,
-                      engine=None):
+def fresh_interpreter(program_builder, *, cycle_model=None, engine=None):
     built = program_builder(WORKLOAD)
     program = load_executable(built.elf, built.arch)
     return Interpreter(
         program.state,
         cycle_model=cycle_model,
-        use_decode_cache=use_decode_cache,
-        use_prediction=use_prediction,
         engine=engine,
     )
 
@@ -62,7 +58,7 @@ def timed_run(program_builder, budget, **kwargs):
 
 def test_interp_no_decode_cache(benchmark, program_builder):
     def run_slow():
-        interp = fresh_interpreter(program_builder, use_decode_cache=False)
+        interp = fresh_interpreter(program_builder, engine="nocache")
         return interp.run(max_instructions=N_SLOW)
 
     stats = benchmark.pedantic(run_slow, rounds=2, iterations=1)
@@ -72,7 +68,7 @@ def test_interp_no_decode_cache(benchmark, program_builder):
 
 def test_interp_decode_cache(benchmark, program_builder):
     def run_cached():
-        interp = fresh_interpreter(program_builder, use_prediction=False)
+        interp = fresh_interpreter(program_builder, engine="cache")
         return interp.run(max_instructions=N_FAST)
 
     stats = benchmark.pedantic(run_cached, rounds=3, iterations=1)
@@ -129,9 +125,8 @@ def test_table1_report(benchmark, program_builder, table_writer):
 
     # Per-instruction component times from differential measurements,
     # the paper's linear-system approach.
-    t_nocache, _ = timed_run(program_builder, N_SLOW,
-                             use_decode_cache=False)
-    t_cache, _ = timed_run(program_builder, N_FAST, use_prediction=False)
+    t_nocache, _ = timed_run(program_builder, N_SLOW, engine="nocache")
+    t_cache, _ = timed_run(program_builder, N_FAST, engine="cache")
     t_predict, _ = timed_run(program_builder, N_FAST)
     t_super, _ = timed_run(program_builder, N_FAST, engine="superblock")
     t_ilp, _ = timed_run(program_builder, N_FAST, cycle_model=IlpModel())

@@ -32,29 +32,19 @@ from .adl.kahrisma import KAHRISMA
 from .binutils.assembler import Assembler
 from .binutils.elf import ElfFile
 from .binutils.linker import link
-from .binutils.loader import load_executable
-from .cycles.aie import AieModel
-from .cycles.branch import (
-    BimodalPredictor,
-    BranchModel,
-    GsharePredictor,
-    NotTakenPredictor,
-)
-from .cycles.doe import DoeModel
-from .cycles.ilp import IlpModel
-from .framework.pipeline import build
+from .binutils.loader import debug_info_from_elf
+from .framework.config import RunConfig
+from .framework.pipeline import BuildResult, build, open_plan_cache
 from .framework.selection import profile_functions, select_isas
 from .lang.driver import compile_mixed, compile_source
 from .programs import PROGRAMS, load_program
-from .rtl.pipeline import RtlPipeline
 from .sim.disasm import disassemble_range
 from .sim.errors import SimulationError
-from .sim.interpreter import ENGINES, Interpreter
+from .sim.interpreter import ENGINES
 from .sim.tracing import Tracer
 from .telemetry import (
     HotspotProfiler,
     TimelineRecorder,
-    build_run_report,
     render_report,
     write_report,
 )
@@ -93,19 +83,12 @@ class _NullSink:
         pass
 
 
-def _open_plan_cache(elf: ElfFile, directory, limit=None, block_len=None):
-    import hashlib
-
-    from .sim.plancache import PlanCache
-    from .targetgen.codegen import architecture_digest
-
-    return PlanCache.open(
-        elf_digest=hashlib.sha256(elf.write()).hexdigest()[:16],
-        arch_digest=architecture_digest(KAHRISMA),
-        directory=directory,
-        block_len=block_len,
-        limit=limit,
-    )
+def _elf_build(elf: ElfFile) -> BuildResult:
+    """A :class:`BuildResult` around a linked executable read from disk
+    (:func:`repro.framework.pipeline.run` needs only the ELF and the
+    architecture)."""
+    return BuildResult(elf=elf, link_info=None, compile_result=None,
+                       arch=KAHRISMA)
 
 
 def cmd_compile_elf(args: argparse.Namespace) -> int:
@@ -121,14 +104,17 @@ def cmd_compile_elf(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as f:
         elf = ElfFile.read(f.read())
     width = KAHRISMA.isa(elf.flags).issue_width
-    cache = _open_plan_cache(
-        elf, args.plan_cache_dir,
-        limit=args.plan_cache_limit, block_len=args.max_block_len,
+    cache = open_plan_cache(
+        _elf_build(elf), directory=args.plan_cache_dir,
+        block_len=args.max_block_len, limit=args.plan_cache_limit,
     )
     status = 0
     for name in args.models.split(","):
         name = name.strip()
-        model = _make_model(None if name == "none" else name, width)
+        try:
+            model = RunConfig(model=name).make_model(width)
+        except ValueError as exc:
+            raise SystemExit(f"kahrisma compile: {exc}")
         label = "functional" if name == "none" else name
         try:
             module, per_entry, report = aot.compile_module(
@@ -205,172 +191,9 @@ def cmd_asm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_branch_model(name: Optional[str], penalty: int):
-    if name is None or name == "perfect":
-        return None
-    predictors = {
-        "not-taken": NotTakenPredictor,
-        "bimodal": BimodalPredictor,
-        "gshare": GsharePredictor,
-    }
-    if name not in predictors:
-        raise SystemExit(f"unknown branch predictor {name!r}")
-    return BranchModel(predictors[name](), penalty=penalty)
-
-
-def _make_model(name: Optional[str], width: int, branch_model=None):
-    if name is None or name == "none":
-        return None
-    if name == "ilp":
-        return IlpModel()
-    if name == "aie":
-        return AieModel(branch_model=branch_model)
-    if name == "doe":
-        return DoeModel(issue_width=width, branch_model=branch_model)
-    if name == "rtl":
-        return RtlPipeline(issue_width=width, branch_model=branch_model)
-    raise SystemExit(f"unknown cycle model {name!r}")
-
-
-def _check_run_flags(args: argparse.Namespace) -> None:
-    """Reject incoherent --engine/--model combinations up front.
-
-    The simulator would otherwise silently ignore the flag (or crash
-    deep inside a run loop), which reads like a simulator bug.
-    """
-    if (args.profile and args.profile_mode == "block"
-            and args.engine != "superblock"):
-        raise SystemExit(
-            "--profile-mode block needs --engine superblock "
-            "(block attribution expands translated plans)"
-        )
-    if args.timeline and args.model in ("none", "ilp"):
-        raise SystemExit(
-            "--timeline needs a microarchitectural cycle model "
-            "(pass --model aie/doe/rtl)"
-        )
-    if (args.branch_predictor not in (None, "perfect")
-            and args.model in ("none", "ilp")):
-        raise SystemExit(
-            f"--branch-predictor {args.branch_predictor} needs a cycle "
-            "model with a fetch stage (pass --model aie/doe/rtl); "
-            f"--model {args.model} never consults a predictor"
-        )
-    if args.sample:
-        if args.model not in ("aie", "doe"):
-            raise SystemExit(
-                f"--sample needs a detailed cycle model to sample "
-                f"(pass --model aie/doe); --model {args.model} has no "
-                f"reset-and-warm entry point"
-            )
-        for flag, name in ((args.trace, "--trace"),
-                           (args.profile, "--profile"),
-                           (args.timeline, "--timeline"),
-                           (args.checkpoint_every, "--checkpoint-every")):
-            if flag:
-                raise SystemExit(
-                    f"--sample is incompatible with {name}: sampling "
-                    f"runs the detailed model only on measured "
-                    f"intervals (see docs/performance.md)"
-                )
-
-
-def _cmd_run_sampled(
-    args, program, model, branch_model, *,
-    base_stats, resume_meta, plan_cache, aot_module,
-    events, flight, live, prom, out,
-) -> int:
-    """``kahrisma run --sample U:k[:W[:seed]]`` body (flags validated)."""
-    from .framework.sampling import SamplingConfig, run_sampled
-    from .telemetry.stream import write_prometheus
-
-    try:
-        config = SamplingConfig.parse(args.sample)
-    except ValueError as exc:
-        raise SystemExit(f"--sample: {exc}")
-    if events is not None:
-        events.emit(
-            "run-start",
-            workload=args.input,
-            engine=args.engine,
-            model=args.model,
-            heartbeat_every=events.heartbeat_every,
-            sampling=config.spec(),
-        )
-    try:
-        outcome = run_sampled(
-            program, model, config,
-            engine=args.engine,
-            max_instructions=args.max_instructions,
-            plan_cache=plan_cache,
-            aot_module=aot_module,
-            max_block_len=args.max_block_len,
-            fuse_cycles=not args.no_cycle_fusion,
-            events=events,
-            flight=flight,
-            base_stats=base_stats,
-            meta=resume_meta,
-        )
-    except (ValueError, RuntimeError) as exc:
-        if live is not None:
-            live.close()
-        if events is not None:
-            events.close()
-        raise SystemExit(f"--sample: {exc}")
-    stats = outcome.stats
-    result = outcome.result
-    if events is not None:
-        events.emit(
-            "run-end",
-            instructions=stats.executed_instructions,
-            exit_code=program.state.exit_code,
-            elapsed_seconds=round(stats.elapsed_seconds, 6),
-            mips=round(stats.mips, 3),
-            halted=program.state.halted,
-            cycles_estimated=result.cycles_estimated,
-        )
-        events.close()
-    out.write(program.output)
-    print("---", file=out)
-    print(f"instructions: {stats.executed_instructions}", file=out)
-    print(f"exit code:    {program.state.exit_code}", file=out)
-    print(f"mips:         {stats.mips:.3f}", file=out)
-    est = result.cycles_estimated
-    ci = result.cycles_ci95
-    ci_text = f" +/- {ci:.0f} (95% CI)" if ci is not None else ""
-    print(f"{args.model} cycles:   "
-          f"{est if est is not None else '(no interval measured)'}"
-          f"{ci_text}  [estimated]", file=out)
-    print(f"sampling:     U={config.interval} k={config.period} "
-          f"W={config.warmup} seed={config.seed}  "
-          f"{len(result.intervals)} intervals, "
-          f"{result.detailed_fraction * 100:.2f}% detailed", file=out)
-    if branch_model is not None:
-        print(f"branches:     {branch_model.summary()}", file=out)
-    if args.flight and flight is not None:
-        flight.dump()
-        print(f"flight:       wrote {args.flight} "
-              f"({len(flight)} entries)", file=out)
-    report = None
-    if args.metrics or args.prom:
-        report = build_run_report(
-            outcome.fast, model,
-            stats=stats,
-            workload=args.input,
-            sampling=result,
-        )
-    if args.prom:
-        write_prometheus(report["metrics"], args.prom)
-        print(f"prometheus:   wrote {args.prom} "
-              f"({prom.writes} heartbeat refreshes)", file=out)
-    if args.metrics:
-        write_report(report, args.metrics)
-        print(f"metrics:      wrote {args.metrics}", file=out)
-    return program.state.exit_code
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    _check_run_flags(args)
+    from .framework.pipeline import run
+    from .snapshot import CheckpointError, read_checkpoint
     from .telemetry.flight import FlightRecorder
     from .telemetry.stream import (
         EventStream,
@@ -378,6 +201,37 @@ def cmd_run(args: argparse.Namespace) -> int:
         PrometheusSnapshot,
         write_prometheus,
     )
+
+    config = RunConfig(
+        engine=args.engine,
+        model=args.model,
+        branch_predictor=args.branch_predictor,
+        branch_penalty=args.branch_penalty,
+        fuse_cycles=not args.no_cycle_fusion,
+        max_block_len=args.max_block_len,
+        max_instructions=args.max_instructions,
+        sampling=args.sample,
+    )
+    profile_mode = None
+    if args.profile:
+        profile_mode = args.profile_mode
+        if profile_mode == "auto":
+            # Keep the superblock fast path when nothing forces the
+            # per-instruction loop anyway.
+            profile_mode = (
+                "block"
+                if args.engine == "superblock" and not args.trace
+                else "exact"
+            )
+    try:
+        config.validate(
+            trace=bool(args.trace),
+            profile=profile_mode,
+            timeline=bool(args.timeline),
+            checkpoint_every=args.checkpoint_every,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"kahrisma run: {exc}")
 
     with open(args.input, "rb") as f:
         elf = ElfFile.read(f.read())
@@ -416,136 +270,61 @@ def cmd_run(args: argparse.Namespace) -> int:
         flight = FlightRecorder(capacity=args.flight_size)
         if args.flight:
             flight.dump_path = args.flight
-    resume_payload = None
+    # The cycle model is sized to the ISA the run starts in.
+    resume = None
+    isa_id = elf.flags if args.isa is None else args.isa
     if args.resume:
-        from .snapshot import CheckpointError, read_checkpoint
-
         try:
-            resume_payload = read_checkpoint(args.resume)
+            resume = read_checkpoint(args.resume)
         except CheckpointError as exc:
             raise SystemExit(f"--resume: {exc}")
-        width = KAHRISMA.isa(
-            int(resume_payload["state"]["isa_id"])
-        ).issue_width
-    branch_model = _make_branch_model(args.branch_predictor,
-                                      args.branch_penalty)
-    base_stats = None
-    if resume_payload is not None:
-        from .snapshot import CheckpointError, load_checkpoint_program
-
-        model = _make_model(args.model, width, branch_model)
-        try:
-            resumed = load_checkpoint_program(
-                resume_payload, KAHRISMA, elf=elf, cycle_model=model
-            )
-        except CheckpointError as exc:
-            raise SystemExit(f"--resume: {exc}")
-        program = resumed.program
-        base_stats = resumed.base_stats
-        resume_meta = resumed.meta
-    else:
-        program = load_executable(elf, KAHRISMA, isa_id=args.isa)
-        width = KAHRISMA.isa(program.state.isa_id).issue_width
-        model = _make_model(args.model, width, branch_model)
-        resume_meta = None
-    profiler = None
-    if args.profile:
-        mode = args.profile_mode
-        if mode == "auto":
-            # Keep the superblock fast path when nothing forces the
-            # per-instruction loop anyway.
-            mode = (
-                "block"
-                if args.engine == "superblock" and not args.trace
-                else "exact"
-            )
-        profiler = HotspotProfiler(mode=mode)
+        isa_id = int(resume["state"]["isa_id"])
+    model = config.make_model(KAHRISMA.isa(isa_id).issue_width)
+    profiler = HotspotProfiler(mode=profile_mode) if profile_mode else None
     timeline = None
     if args.timeline:
         timeline = TimelineRecorder(max_events=args.timeline_events)
     tracer = Tracer.to_file(args.trace) if args.trace else None
+    built = _elf_build(elf)
     plan_cache = None
     if args.engine in ("superblock", "aot") and not args.no_plan_cache:
-        plan_cache = _open_plan_cache(
-            elf, args.plan_cache_dir,
-            limit=args.plan_cache_limit, block_len=args.max_block_len,
+        plan_cache = open_plan_cache(
+            built, directory=args.plan_cache_dir,
+            block_len=args.max_block_len, limit=args.plan_cache_limit,
         )
-    aot_module = None
-    if (
-        args.engine == "aot"
-        and tracer is None
-        and profiler is None
-        and timeline is None
-        and (args.sample or not args.no_cycle_fusion or model is None)
-    ):
-        from .sim import aot
 
-        aot_module = aot.prepare(
-            elf, KAHRISMA,
-            # --sample fast-forwards functionally: the module serves
-            # the fast tier, never the detailed model.
-            model=None if args.sample else model,
+    def close_streams() -> None:
+        if live is not None:
+            live.close()
+        if events is not None:
+            events.close()
+
+    try:
+        result = run(
+            built,
+            cycle_model=model,
+            tracer=tracer,
+            isa_id=args.isa,
+            profiler=profiler,
+            timeline=timeline,
+            collect_metrics=bool(args.metrics or args.prom),
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+            resume_from=resume,
+            workload=args.input,
             plan_cache=plan_cache,
-            max_block_len=args.max_block_len,
-        )
-    if args.sample:
-        return _cmd_run_sampled(
-            args, program, model, branch_model,
-            base_stats=base_stats,
-            resume_meta=resume_meta,
-            plan_cache=plan_cache,
-            aot_module=aot_module,
             events=events,
             flight=flight,
-            live=live,
-            prom=prom,
-            out=out,
+            **config.run_kwargs(),
         )
-    checkpoints = []
-    try:
-        interp = Interpreter(program.state, cycle_model=model,
-                             tracer=tracer, engine=args.engine,
-                             profiler=profiler, timeline=timeline,
-                             plan_cache=plan_cache,
-                             fuse_cycles=not args.no_cycle_fusion,
-                             aot_module=aot_module,
-                             max_block_len=args.max_block_len,
-                             events=events, flight=flight)
-        if events is not None:
-            events.emit(
-                "run-start",
-                workload=args.input,
-                engine=interp.engine,
-                model=None if args.model == "none" else args.model,
-                heartbeat_every=events.heartbeat_every,
-            )
-        if args.checkpoint_every:
-            from .snapshot import run_with_checkpoints
-
-            ckpt = run_with_checkpoints(
-                interp, program.syscalls,
-                every=args.checkpoint_every,
-                directory=args.checkpoint_dir,
-                max_instructions=args.max_instructions,
-                base_stats=base_stats,
-                workload=args.input,
-            )
-            stats = ckpt.stats
-            checkpoints = ckpt.checkpoints
-        else:
-            stats = interp.run(max_instructions=args.max_instructions)
-            if base_stats is not None:
-                whole = base_stats.copy()
-                whole.merge(stats)
-                stats = whole
-    except SimulationError as exc:
+    except SimulationError:
         # The interpreter already attached the flight snapshot (and
         # dumped --flight JSON); render the trail so the crash comes
         # with the blocks that led up to it.
         if live is not None:
             live.close()
         if flight is not None:
-            print(flight.format(debug_info=program.debug_info),
+            print(flight.format(debug_info=debug_info_from_elf(elf)),
                   file=sys.stderr)
             if flight.dump_path:
                 print(f"flight dump:  wrote {flight.dump_path}",
@@ -553,55 +332,68 @@ def cmd_run(args: argparse.Namespace) -> int:
         if events is not None:
             events.close()
         raise
+    except CheckpointError as exc:
+        if not args.resume:
+            raise
+        close_streams()
+        raise SystemExit(f"--resume: {exc}")
+    except (ValueError, RuntimeError) as exc:
+        # A checkpoint sampled under another schedule, or a stalled
+        # sampling driver.
+        if not args.sample:
+            raise
+        close_streams()
+        raise SystemExit(f"--sample: {exc}")
     finally:
         # Flush partial telemetry even when the simulation aborts —
         # a truncated trace/timeline localises the fault.
         if tracer is not None:
             tracer.close()
-        if timeline is not None and args.timeline:
+        if timeline is not None:
             timeline.write(args.timeline)
     if events is not None:
-        events.emit(
-            "run-end",
-            instructions=stats.executed_instructions,
-            exit_code=program.state.exit_code,
-            elapsed_seconds=round(stats.elapsed_seconds, 6),
-            mips=round(stats.mips, 3),
-            halted=program.state.halted,
-        )
         events.close()
-    out.write(program.output)
+    stats = result.stats
+    out.write(result.output)
     print("---", file=out)
     print(f"instructions: {stats.executed_instructions}", file=out)
-    print(f"exit code:    {program.state.exit_code}", file=out)
+    print(f"exit code:    {result.exit_code}", file=out)
     print(f"mips:         {stats.mips:.3f}", file=out)
-    print(f"decode cache: {stats.decode_avoidance * 100:.3f}% decodes "
-          f"avoided", file=out)
-    print(f"prediction:   {stats.lookup_avoidance * 100:.3f}% lookups "
-          f"avoided", file=out)
-    if model is not None:
-        print(f"{args.model} cycles:   {model.cycles}", file=out)
+    sampled = result.sampling
+    if sampled is None:
+        print(f"decode cache: {stats.decode_avoidance * 100:.3f}% decodes "
+              f"avoided", file=out)
+        print(f"prediction:   {stats.lookup_avoidance * 100:.3f}% lookups "
+              f"avoided", file=out)
+        if model is not None:
+            print(f"{args.model} cycles:   {model.cycles}", file=out)
+    else:
+        est = sampled.cycles_estimated
+        ci = sampled.cycles_ci95
+        ci_text = f" +/- {ci:.0f} (95% CI)" if ci is not None else ""
+        print(f"{args.model} cycles:   "
+              f"{est if est is not None else '(no interval measured)'}"
+              f"{ci_text}  [estimated]", file=out)
+        sc = sampled.config
+        print(f"sampling:     U={sc.interval} k={sc.period} "
+              f"W={sc.warmup} seed={sc.seed}  "
+              f"{len(sampled.intervals)} intervals, "
+              f"{sampled.detailed_fraction * 100:.2f}% detailed", file=out)
+    branch_model = getattr(model, "branch_model", None)
     if branch_model is not None:
         print(f"branches:     {branch_model.summary()}", file=out)
-    if args.timeline:
+    if timeline is not None:
         print(f"timeline:     wrote {args.timeline} "
               f"({len(timeline)} events, {timeline.dropped} dropped)",
               file=out)
-    if checkpoints:
-        print(f"checkpoints:  wrote {len(checkpoints)} into "
+    if result.checkpoints:
+        print(f"checkpoints:  wrote {len(result.checkpoints)} into "
               f"{args.checkpoint_dir}", file=out)
     if args.flight and flight is not None:
         flight.dump()
         print(f"flight:       wrote {args.flight} "
               f"({len(flight)} entries)", file=out)
-    report = None
-    if args.metrics or profiler is not None or args.prom:
-        report = build_run_report(
-            interp, model,
-            profiler=profiler,
-            debug_info=program.debug_info,
-            workload=args.input,
-        )
+    report = result.telemetry
     if args.prom:
         # Final snapshot from the complete post-run metrics (heartbeat
         # refreshes stop before the last slice).
@@ -615,7 +407,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(file=out)
         print(render_report({k: v for k, v in report.items()
                              if k != "metrics"}, top=args.top), file=out)
-    return program.state.exit_code
+    return result.exit_code
 
 
 def cmd_parallel(args: argparse.Namespace) -> int:
@@ -722,15 +514,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_disasm(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as f:
         elf = ElfFile.read(f.read())
-    program = load_executable(elf, KAHRISMA)
-    text = elf.section(".text")
+    from .binutils.elf import PT_LOAD
+    from .sim.memory import Memory
     from .targetgen.optable import build_target
+
+    mem = Memory()
+    for phdr, data in elf.segments:
+        if phdr.p_type == PT_LOAD:
+            mem.store_bytes(phdr.vaddr, data)
+    text = elf.section(".text")
 
     target = build_target(KAHRISMA)
     optable = target.optable(elf.flags)
     start = args.start if args.start is not None else text.addr
     end = args.end if args.end is not None else text.addr + len(text.data)
-    for line in disassemble_range(optable, program.state.mem, start, end):
+    for line in disassemble_range(optable, mem, start, end):
         print(line)
     return 0
 

@@ -8,11 +8,10 @@ from .cost import (
     evaluate_widths,
     select_isas_cost_aware,
 )
+from .config import RunConfig
 from .parallel import (
     ParallelResult,
     ShardPlan,
-    make_branch_model,
-    make_cycle_model,
     merge_metric_dicts,
     plan_shards,
     run_parallel,
@@ -53,13 +52,12 @@ __all__ = [
     "FunctionAttributor",
     "FunctionProfile",
     "ParallelResult",
+    "RunConfig",
     "RunResult",
     "SampledRun",
     "SamplingConfig",
     "SamplingResult",
     "ShardPlan",
-    "make_branch_model",
-    "make_cycle_model",
     "merge_metric_dicts",
     "plan_shards",
     "run_parallel",

@@ -18,11 +18,12 @@ warm-up transient at each boundary — small for shard intervals that
 are long relative to cache warm-up, and quantified in
 ``docs/checkpointing.md``.
 
-Worker processes receive only checkpoint *paths* plus a small model
-spec: a checkpoint is a complete run description, so workers never need
-the ELF.  Only the bundled KAHRISMA architecture is supported (the
-architecture is rebuilt by name inside each worker; generated simulator
-functions are not picklable).
+Worker processes receive only checkpoint *paths* plus the run's
+:class:`~repro.framework.config.RunConfig`: a checkpoint is a complete
+run description, so workers never need the ELF.  Only the bundled
+KAHRISMA architecture is supported (the architecture is rebuilt by
+name inside each worker; generated simulator functions are not
+picklable).
 """
 
 from __future__ import annotations
@@ -34,56 +35,11 @@ from typing import Dict, List, Optional
 
 from ..sim.stats import SimStats
 from ..telemetry.collect import SCHEMA_NAME, SCHEMA_VERSION, collect_run_metrics
+from .config import RunConfig
 from .pipeline import DEFAULT_MAX_INSTRUCTIONS, BuildResult
 
-#: Worker-side engine/model names are plain strings so the spec dicts
-#: pickle under any multiprocessing start method.
+#: Engine of the functional fast-forward pass.
 _FAST_ENGINE = "superblock"
-
-
-def make_branch_model(name: Optional[str], penalty: int = 3):
-    """Branch-model factory shared by the CLI and the shard workers."""
-    if name is None or name == "perfect":
-        return None
-    from ..cycles.branch import (
-        BimodalPredictor,
-        BranchModel,
-        GsharePredictor,
-        NotTakenPredictor,
-    )
-
-    predictors = {
-        "not-taken": NotTakenPredictor,
-        "bimodal": BimodalPredictor,
-        "gshare": GsharePredictor,
-    }
-    if name not in predictors:
-        raise ValueError(f"unknown branch predictor {name!r}")
-    return BranchModel(predictors[name](), penalty=penalty)
-
-
-def make_cycle_model(name: Optional[str], issue_width: int,
-                     branch_model=None):
-    """Cycle-model factory shared by the CLI and the shard workers."""
-    if name is None or name == "none":
-        return None
-    if name == "ilp":
-        from ..cycles.ilp import IlpModel
-
-        return IlpModel()
-    if name == "aie":
-        from ..cycles.aie import AieModel
-
-        return AieModel(branch_model=branch_model)
-    if name == "doe":
-        from ..cycles.doe import DoeModel
-
-        return DoeModel(issue_width=issue_width, branch_model=branch_model)
-    if name == "rtl":
-        from ..rtl.pipeline import RtlPipeline
-
-        return RtlPipeline(issue_width=issue_width, branch_model=branch_model)
-    raise ValueError(f"unknown cycle model {name!r}")
 
 
 @dataclass
@@ -175,18 +131,14 @@ def _run_shard(spec: Dict[str, object]) -> Dict[str, object]:
 
     Module-level so it imports cleanly under the ``spawn`` start
     method; everything in ``spec`` and in the returned dict is
-    picklable (paths, ints, strings, ``SimStats``).
+    picklable (paths, ints, strings, ``RunConfig``, ``SimStats``).
     """
     from ..adl.kahrisma import KAHRISMA
     from ..sim.interpreter import Interpreter
     from ..snapshot import read_checkpoint, restore_run
 
-    branch = make_branch_model(
-        spec.get("branch_predictor"), spec.get("branch_penalty", 3)
-    )
-    model = make_cycle_model(
-        spec.get("model"), int(spec["issue_width"]), branch
-    )
+    config: RunConfig = spec["config"]
+    model = config.make_model(int(spec["issue_width"]))
     plan_cache = None
     cache_spec = spec.get("plan_cache")
     if cache_spec is not None:
@@ -215,60 +167,50 @@ def _run_shard(spec: Dict[str, object]) -> Dict[str, object]:
             heartbeat_every=int(events_spec["heartbeat_every"]),
             shard=int(spec["shard"]),
         )
-    budget = spec.get("budget")
-    budget = DEFAULT_MAX_INSTRUCTIONS if budget is None else int(budget)
-    sampling_spec = spec.get("sampling")
-    if sampling_spec is not None:
+    budget = int(spec["budget"])
+    sampling = config.sampling_config()
+    extra: Dict[str, object] = {}
+    if sampling is not None:
         # Sampled shard: the schedule is local to the shard's segment
         # (its model cold-starts at the boundary anyway — see the
-        # shard accuracy caveat in docs/checkpointing.md), with a
-        # per-shard seed so shards don't all measure the same phase
-        # of a loop that happens to align with the boundaries.
+        # shard accuracy caveat in docs/checkpointing.md).
         from types import SimpleNamespace
 
-        from .sampling import SamplingConfig, run_sampled
+        from .sampling import run_sampled
 
         outcome = run_sampled(
             SimpleNamespace(state=restored.state),
             model,
-            SamplingConfig.from_doc(sampling_spec),
-            engine=str(spec["engine"]),
+            sampling,
+            engine=config.engine,
             max_instructions=budget,
             plan_cache=plan_cache,
             events=events,
         )
-        stdout = restored.syscalls.save_state()["stdout"]
-        return {
-            "shard": spec["shard"],
-            "stats": outcome.stats,
-            # Measured-interval cycles only (the model's running count
-            # is reset at every warm-up boundary, so ``model.cycles``
-            # would be the last region's residual, not a total).
-            "cycles": outcome.result.cycles_sampled,
-            "sampling": outcome.result.to_doc(),
-            "metrics": collect_run_metrics(
-                outcome.fast, model, stats=outcome.stats
-            ),
-            "stdout_delta": stdout[prefix:],
-            "exit_code": restored.state.exit_code,
-            "halted": restored.state.halted,
-            "events": events.events if events is not None else None,
-        }
-    interp = Interpreter(
-        restored.state, cycle_model=model, engine=str(spec["engine"]),
-        plan_cache=plan_cache, events=events,
-    )
-    interp.run(max_instructions=budget)
+        interp, stats = outcome.fast, outcome.stats
+        # Measured-interval cycles only (the model's running count is
+        # reset at every warm-up boundary, so ``model.cycles`` would be
+        # the last region's residual, not a total).
+        cycles = outcome.result.cycles_sampled
+        extra["sampling"] = outcome.result.to_doc()
+    else:
+        interp = Interpreter(
+            restored.state, cycle_model=model, engine=config.engine,
+            plan_cache=plan_cache, events=events,
+        )
+        stats = interp.run(max_instructions=budget)
+        cycles = model.cycles if model is not None else None
     stdout = restored.syscalls.save_state()["stdout"]
     return {
         "shard": spec["shard"],
-        "stats": interp.stats,
-        "cycles": model.cycles if model is not None else None,
+        "stats": stats,
+        "cycles": cycles,
         "metrics": collect_run_metrics(interp, model),
         "stdout_delta": stdout[prefix:],
         "exit_code": restored.state.exit_code,
         "halted": restored.state.halted,
         "events": events.events if events is not None else None,
+        **extra,
     }
 
 
@@ -426,24 +368,20 @@ def run_parallel(
     into the coordinator stream (tagged with their shard index) as
     results arrive.
     """
+    import dataclasses
     import shutil
     import tempfile
 
     # Validate the spec before paying for the fast-forward pass.
-    probe = make_cycle_model(
-        model, built.issue_width,
-        make_branch_model(branch_predictor, branch_penalty),
-    )
-    sampling_config = None
-    if sampling is not None:
-        from .sampling import SamplingConfig
-
-        sampling_config = SamplingConfig.coerce(sampling)
-        if probe is None or not hasattr(probe, "reset_timing"):
-            raise ValueError(
-                f"sampling requires a detailed cycle model (aie/doe), "
-                f"got {model!r}"
-            )
+    config = RunConfig(
+        engine=engine,
+        model=model or "none",
+        branch_predictor=branch_predictor or "perfect",
+        branch_penalty=branch_penalty,
+        max_instructions=max_instructions,
+        sampling=sampling,
+    ).validate()
+    sampling_config = config.sampling_config()
 
     plan_cache = None
     cache_spec = None
@@ -464,8 +402,8 @@ def run_parallel(
         events.emit(
             "run-start",
             workload=workload,
-            engine=engine,
-            model=None if model == "none" else model,
+            engine=config.engine,
+            model=None if config.model == "none" else config.model,
             heartbeat_every=events.heartbeat_every,
             shards=shards,
         )
@@ -486,17 +424,14 @@ def run_parallel(
                 "shard": i,
                 "checkpoint": plan.checkpoints[i],
                 "budget": ends[i] - plan.boundaries[i],
-                "engine": engine,
-                "model": model,
-                "branch_predictor": branch_predictor,
-                "branch_penalty": branch_penalty,
+                # Each shard samples with its own seed so shards don't
+                # all measure the same phase of a loop.
+                "config": config if sampling_config is None
+                else dataclasses.replace(
+                    config, sampling=dataclasses.replace(
+                        sampling_config, seed=sampling_config.seed + i)),
                 "issue_width": built.issue_width,
                 "plan_cache": cache_spec,
-                "sampling": (
-                    {**sampling_config.to_doc(),
-                     "seed": sampling_config.seed + i}
-                    if sampling_config is not None else None
-                ),
                 "events": (
                     {"heartbeat_every": events.heartbeat_every}
                     if events is not None else None
@@ -541,7 +476,7 @@ def run_parallel(
         bytes(result["stdout_delta"]) for result in results
     ).decode("utf-8", errors="replace")
     cycles = None
-    if model is not None and model != "none":
+    if config.model != "none":
         cycles = sum(int(result["cycles"]) for result in results)
     merged_sampling = None
     if sampling_config is not None:
@@ -553,8 +488,8 @@ def run_parallel(
     telemetry = {
         "schema": SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
-        "engine": engine,
-        "model": None if model == "none" else model,
+        "engine": config.engine,
+        "model": None if config.model == "none" else config.model,
         "workload": workload,
         "shards": len(results),
         "shard_boundaries": list(plan.boundaries),

@@ -22,8 +22,7 @@ from ..programs import load_program
 from ..sim.interpreter import Interpreter
 from ..sim.stats import SimStats
 from ..sim.tracing import Tracer
-
-DEFAULT_MAX_INSTRUCTIONS = 100_000_000
+from .config import DEFAULT_MAX_INSTRUCTIONS, RunConfig, model_name
 
 
 @dataclass
@@ -155,19 +154,16 @@ def run(
     *,
     cycle_model=None,
     tracer: Optional[Tracer] = None,
-    use_decode_cache: bool = True,
-    use_prediction: bool = True,
     engine: Optional[str] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     input_data: bytes = b"",
     isa_id: Optional[int] = None,
-    ip_history: int = 0,
     profiler=None,
     timeline=None,
     collect_metrics: bool = False,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
+    resume_from=None,
     workload: Optional[str] = None,
     plan_cache=None,
     fuse_cycles: bool = True,
@@ -181,6 +177,12 @@ def run(
 ) -> RunResult:
     """Load and simulate a built executable.
 
+    This is the one driver behind ``kahrisma run``, serve jobs and the
+    benchmark harnesses.  It reads only ``built.elf`` and
+    ``built.arch``.  ``engine`` defaults to ``predict``.  The run is
+    checked with :meth:`repro.framework.config.RunConfig.validate`
+    before anything loads; an incoherent combination raises ValueError.
+
     Telemetry: ``profiler`` (a :class:`repro.telemetry.HotspotProfiler`)
     attributes work to guest code, ``timeline`` (a
     :class:`repro.telemetry.TimelineRecorder`) records Chrome-trace
@@ -190,11 +192,11 @@ def run(
 
     Checkpointing (``docs/checkpointing.md``): ``checkpoint_every=N``
     writes a checkpoint into ``checkpoint_dir`` every N executed
-    instructions; ``resume_from=path`` starts from a checkpoint file
-    instead of the ELF entry point (the ELF still supplies debug info,
-    and ``RunResult.stats`` covers the whole run, not just the resumed
-    segment).  ``max_instructions`` bounds the segment executed by this
-    call.
+    instructions; ``resume_from`` (a checkpoint path or decoded
+    payload) starts from a checkpoint instead of the ELF entry point
+    (the ELF still supplies debug info, and ``RunResult.stats`` covers
+    the whole run, not just the resumed segment).  ``max_instructions``
+    bounds the segment executed by this call.
 
     Performance (``docs/performance.md``): ``plan_cache`` (see
     :func:`open_plan_cache`) persists superblock translations across
@@ -239,34 +241,20 @@ def run(
     profilers, timelines and ``checkpoint_every`` (cancel checkpoints
     and ``resume_from`` compose fine — the schedule is absolute).
     """
-    sampling_config = None
-    if sampling is not None:
-        from .sampling import SamplingConfig
-
-        sampling_config = SamplingConfig.coerce(sampling)
-        if cycle_model is None:
-            raise ValueError(
-                "sampling requires a detailed cycle model (aie/doe)"
-            )
-        if not hasattr(cycle_model, "reset_timing"):
-            raise ValueError(
-                f"sampling needs a cycle model with reset_timing "
-                f"(aie/doe); {type(cycle_model).__name__} has none"
-            )
-        incompatible = [
-            name for name, value in (
-                ("tracer", tracer), ("profiler", profiler),
-                ("timeline", timeline),
-                ("checkpoint_every", checkpoint_every),
-            ) if value is not None
-        ]
-        if incompatible:
-            raise ValueError(
-                f"sampling is incompatible with "
-                f"{', '.join(incompatible)} (per-instruction hooks "
-                f"and periodic checkpointing need one continuous "
-                f"detailed run)"
-            )
+    config = RunConfig(
+        engine=engine or "predict",
+        model=model_name(cycle_model),
+        fuse_cycles=fuse_cycles,
+        max_block_len=max_block_len,
+        max_instructions=max_instructions,
+        sampling=sampling,
+    ).validate(
+        trace=tracer is not None,
+        profile=getattr(profiler, "mode", None),
+        timeline=timeline is not None,
+        checkpoint_every=checkpoint_every,
+    )
+    sampling_config = config.sampling_config()
     if resume_from is not None:
         from ..snapshot import load_checkpoint_program
 
@@ -283,7 +271,7 @@ def run(
         base_stats = None
         resume_meta = None
     if (
-        engine == "aot"
+        config.engine == "aot"
         and aot_module is None
         and tracer is None
         and profiler is None
@@ -302,12 +290,26 @@ def run(
             max_block_len=max_block_len,
             input_data=input_data,
         )
+    if events is not None:
+        start = {"sampling": sampling_config.spec()} \
+            if sampling_config is not None else {}
+        events.emit(
+            "run-start",
+            workload=workload,
+            engine=config.engine,
+            model=None if config.model == "none" else config.model,
+            heartbeat_every=events.heartbeat_every,
+            **start,
+        )
+    checkpoints: List[str] = []
+    sampled = None
+    cancel_meta: Dict[str, object] = {}
     if sampling_config is not None:
-        return _run_sampled(
-            built, program,
-            sampling_config=sampling_config,
-            cycle_model=cycle_model,
-            engine=engine,
+        from .sampling import run_sampled
+
+        outcome = run_sampled(
+            program, cycle_model, sampling_config,
+            engine=config.engine,
             max_instructions=max_instructions,
             plan_cache=plan_cache,
             aot_module=aot_module,
@@ -316,62 +318,50 @@ def run(
             events=events,
             flight=flight,
             cancel=cancel,
-            cancel_checkpoint_dir=cancel_checkpoint_dir,
             base_stats=base_stats,
-            resume_meta=resume_meta,
-            workload=workload,
-            collect_metrics=collect_metrics,
+            meta=resume_meta,
         )
-    interpreter = Interpreter(
-        program.state,
-        cycle_model=cycle_model,
-        tracer=tracer,
-        use_decode_cache=use_decode_cache,
-        use_prediction=use_prediction,
-        engine=engine,
-        ip_history=ip_history,
-        profiler=profiler,
-        timeline=timeline,
-        plan_cache=plan_cache,
-        fuse_cycles=fuse_cycles,
-        aot_module=aot_module,
-        max_block_len=max_block_len,
-        events=events,
-        flight=flight,
-        cancel=cancel,
-    )
-    if events is not None:
-        events.emit(
-            "run-start",
-            workload=workload,
-            engine=interpreter.engine,
-            model=(
-                str(getattr(cycle_model, "name", type(cycle_model).__name__))
-                if cycle_model is not None else None
-            ),
-            heartbeat_every=events.heartbeat_every,
-        )
-    checkpoints: List[str] = []
-    if checkpoint_every is not None:
-        from ..snapshot import run_with_checkpoints
-
-        ckpt = run_with_checkpoints(
-            interpreter, program.syscalls,
-            every=checkpoint_every,
-            directory=checkpoint_dir or "checkpoints",
-            max_instructions=max_instructions,
-            base_stats=base_stats,
-            workload=workload,
-        )
-        stats = ckpt.stats
-        checkpoints = ckpt.checkpoints
+        interpreter = outcome.fast
+        stats = outcome.stats
+        cancelled = outcome.cancelled
+        sampled = outcome.result
+        cancel_meta["sampling"] = outcome.progress_doc()
     else:
-        stats = interpreter.run(max_instructions=max_instructions)
-        if base_stats is not None:
-            whole = base_stats.copy()
-            whole.merge(stats)
-            stats = whole
-    cancelled = bool(getattr(interpreter, "cancelled", False))
+        interpreter = Interpreter(
+            program.state,
+            cycle_model=cycle_model,
+            tracer=tracer,
+            engine=config.engine,
+            profiler=profiler,
+            timeline=timeline,
+            plan_cache=plan_cache,
+            fuse_cycles=fuse_cycles,
+            aot_module=aot_module,
+            max_block_len=max_block_len,
+            events=events,
+            flight=flight,
+            cancel=cancel,
+        )
+        if checkpoint_every is not None:
+            from ..snapshot import run_with_checkpoints
+
+            ckpt = run_with_checkpoints(
+                interpreter, program.syscalls,
+                every=checkpoint_every,
+                directory=checkpoint_dir or "checkpoints",
+                max_instructions=max_instructions,
+                base_stats=base_stats,
+                workload=workload,
+            )
+            stats = ckpt.stats
+            checkpoints = ckpt.checkpoints
+        else:
+            stats = interpreter.run(max_instructions=max_instructions)
+            if base_stats is not None:
+                whole = base_stats.copy()
+                whole.merge(stats)
+                stats = whole
+        cancelled = interpreter.cancelled
     cancel_checkpoint = None
     if (
         cancelled
@@ -389,6 +379,7 @@ def run(
                 "engine": interpreter.engine,
                 "workload": workload,
                 "cancelled": True,
+                **cancel_meta,
             },
         )
         os.makedirs(cancel_checkpoint_dir, exist_ok=True)
@@ -404,6 +395,8 @@ def run(
                 instructions=stats.executed_instructions,
             )
     if events is not None:
+        end = {"cycles_estimated": sampled.cycles_estimated} \
+            if sampled is not None else {}
         events.emit(
             "run-end",
             instructions=stats.executed_instructions,
@@ -411,6 +404,7 @@ def run(
             elapsed_seconds=round(stats.elapsed_seconds, 6),
             mips=round(stats.mips, 3),
             halted=program.state.halted,
+            **end,
         )
     telemetry = None
     if collect_metrics or profiler is not None:
@@ -420,6 +414,8 @@ def run(
             interpreter, cycle_model,
             profiler=profiler,
             debug_info=program.debug_info,
+            workload=workload,
+            sampling=sampled,
         )
     return RunResult(
         output=program.output,
@@ -434,122 +430,7 @@ def run(
         interpreter=interpreter,
         cancelled=cancelled,
         cancel_checkpoint=cancel_checkpoint,
-    )
-
-
-def _run_sampled(
-    built: BuildResult,
-    program: LoadedProgram,
-    *,
-    sampling_config,
-    cycle_model,
-    engine,
-    max_instructions,
-    plan_cache,
-    aot_module,
-    max_block_len,
-    fuse_cycles,
-    events,
-    flight,
-    cancel,
-    cancel_checkpoint_dir,
-    base_stats,
-    resume_meta,
-    workload,
-    collect_metrics,
-) -> RunResult:
-    """Sampling-tier body of :func:`run` (validated arguments)."""
-    from .sampling import run_sampled
-
-    if events is not None:
-        events.emit(
-            "run-start",
-            workload=workload,
-            engine=engine or "superblock",
-            model=str(getattr(cycle_model, "name",
-                              type(cycle_model).__name__)),
-            heartbeat_every=events.heartbeat_every,
-            sampling=sampling_config.spec(),
-        )
-    outcome = run_sampled(
-        program, cycle_model, sampling_config,
-        engine=engine,
-        max_instructions=max_instructions,
-        plan_cache=plan_cache,
-        aot_module=aot_module,
-        max_block_len=max_block_len,
-        fuse_cycles=fuse_cycles,
-        events=events,
-        flight=flight,
-        cancel=cancel,
-        base_stats=base_stats,
-        meta=resume_meta,
-    )
-    stats = outcome.stats
-    cancelled = outcome.cancelled
-    cancel_checkpoint = None
-    if (
-        cancelled
-        and cancel_checkpoint_dir is not None
-        and not program.state.halted
-    ):
-        from ..snapshot import checkpoint_path, snapshot_run, write_checkpoint
-
-        payload = snapshot_run(
-            program.state, program.syscalls,
-            stats=stats,
-            cycle_model=cycle_model,
-            meta={
-                "instructions": stats.executed_instructions,
-                "engine": outcome.fast.engine,
-                "workload": workload,
-                "cancelled": True,
-                "sampling": outcome.progress_doc(),
-            },
-        )
-        os.makedirs(cancel_checkpoint_dir, exist_ok=True)
-        cancel_checkpoint = checkpoint_path(
-            cancel_checkpoint_dir, stats.executed_instructions,
-            prefix="cancel",
-        )
-        write_checkpoint(cancel_checkpoint, payload)
-        if events is not None:
-            events.emit(
-                "checkpoint",
-                path=cancel_checkpoint,
-                instructions=stats.executed_instructions,
-            )
-    if events is not None:
-        events.emit(
-            "run-end",
-            instructions=stats.executed_instructions,
-            exit_code=program.state.exit_code,
-            elapsed_seconds=round(stats.elapsed_seconds, 6),
-            mips=round(stats.mips, 3),
-            halted=program.state.halted,
-            cycles_estimated=outcome.result.cycles_estimated,
-        )
-    telemetry = None
-    if collect_metrics:
-        from ..telemetry import build_run_report
-
-        telemetry = build_run_report(
-            outcome.fast, cycle_model,
-            stats=stats,
-            debug_info=program.debug_info,
-            workload=workload,
-            sampling=outcome.result,
-        )
-    return RunResult(
-        output=program.output,
-        stats=stats,
-        program=program,
-        cycle_model=cycle_model,
-        telemetry=telemetry,
-        interpreter=outcome.fast,
-        cancelled=cancelled,
-        cancel_checkpoint=cancel_checkpoint,
-        sampling=outcome.result,
+        sampling=sampled,
     )
 
 

@@ -364,8 +364,10 @@ def run_sampled(
     """Drive one program under the sampling schedule to halt/budget.
 
     ``program`` is a :class:`~repro.binutils.loader.LoadedProgram`
-    (fresh or checkpoint-restored); ``cycle_model`` an AIE/DOE model,
-    **already carrying checkpoint state when resuming**.  ``engine``
+    (fresh or checkpoint-restored); ``cycle_model`` an AIE/DOE model
+    (callers check the run with
+    :meth:`repro.framework.config.RunConfig.validate`), **already
+    carrying checkpoint state when resuming**.  ``engine``
     names the fast-forward engine (default ``superblock``;
     ``aot`` with a functional ``aot_module`` is the fastest).  The
     detailed interpreter always runs the superblock engine with the
@@ -378,13 +380,6 @@ def run_sampled(
     back exactly where the cancelled run stopped.
     """
     config = SamplingConfig.coerce(sampling)
-    if cycle_model is None:
-        raise ValueError("sampling needs a detailed cycle model (aie/doe)")
-    if not hasattr(cycle_model, "reset_timing"):
-        raise ValueError(
-            f"cycle model {type(cycle_model).__name__} has no "
-            f"reset_timing; sampling supports AIE/DOE"
-        )
     state = program.state
     intervals, cycles0 = sampling_progress_from_meta(meta, config)
 

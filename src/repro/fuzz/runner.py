@@ -28,7 +28,7 @@ from ..binutils.assembler import Assembler
 from ..binutils.elf import ElfFile
 from ..binutils.linker import LinkInfo, link
 from ..binutils.loader import load_executable
-from ..framework.parallel import make_cycle_model
+from ..framework.config import RunConfig
 from ..sim.interpreter import ENGINES, Interpreter
 from ..snapshot.capture import memory_digest
 
@@ -243,7 +243,7 @@ def _make_model(name: Optional[str]):
     # models (DOE) are built at the architecture's maximum issue width
     # — the same width for every configuration, keeping the
     # cycle-equality property well-defined.
-    return make_cycle_model(name, 8, None)
+    return RunConfig(model=name or "none").make_model(8)
 
 
 def _lockstep_config(config: EngineConfig) -> dict:

@@ -25,13 +25,9 @@ import threading
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
+from ..framework.config import RunConfig
 from ..programs import PROGRAMS
-from ..sim.interpreter import ENGINES
 
-#: Cycle-model names a job may request (mirrors the CLI's --model).
-MODELS = ("none", "ilp", "aie", "doe", "rtl")
-#: Branch predictors a job may request.
-PREDICTORS = ("perfect", "not-taken", "bimodal", "gshare")
 #: ISA names accepted for builds.
 ISAS = ("risc", "vliw2", "vliw4", "vliw6", "vliw8")
 
@@ -61,11 +57,12 @@ class JobSpec:
 
     ``program`` names a bundled benchmark (``kahrisma programs``);
     ``source`` ships KC source text instead.  Exactly one of the two
-    must be set.  Engine/model/predictor knobs mirror ``kahrisma
-    run``; ``tenant`` and ``priority`` (lower = sooner) feed the
-    scheduler; ``heartbeat_every`` sets both the live-event cadence
-    and the cancellation latency (the run is sliced at this many
-    instructions).
+    must be set.  Engine/model/predictor/sampling knobs form a
+    :class:`~repro.framework.config.RunConfig` and follow exactly the
+    rules of ``kahrisma run``; ``tenant`` and ``priority`` (lower =
+    sooner) feed the scheduler; ``heartbeat_every`` sets both the
+    live-event cadence and the cancellation latency (the run is sliced
+    at this many instructions).
     """
 
     program: Optional[str] = None
@@ -99,15 +96,6 @@ class JobSpec:
             known = ", ".join(sorted(PROGRAMS))
             raise SpecError(f"unknown program {self.program!r} "
                             f"(bundled: {known})")
-        if self.engine not in ENGINES:
-            raise SpecError(f"unknown engine {self.engine!r}; "
-                            f"expected one of {ENGINES}")
-        if self.model not in MODELS:
-            raise SpecError(f"unknown model {self.model!r}; "
-                            f"expected one of {MODELS}")
-        if self.branch_predictor not in PREDICTORS:
-            raise SpecError(f"unknown branch predictor "
-                            f"{self.branch_predictor!r}")
         if self.isa not in ISAS:
             raise SpecError(f"unknown isa {self.isa!r}")
         if self.isa_map is not None and not (
@@ -120,13 +108,10 @@ class JobSpec:
             raise SpecError("isa_map must map function names to ISA names")
         if not isinstance(self.tenant, str) or not self.tenant:
             raise SpecError("tenant must be a non-empty string")
-        for name in ("priority", "max_instructions", "heartbeat_every",
-                     "branch_penalty"):
+        for name in ("priority", "heartbeat_every"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SpecError(f"{name} must be an integer")
-        if self.max_instructions <= 0:
-            raise SpecError("max_instructions must be positive")
         if self.heartbeat_every <= 0:
             raise SpecError("heartbeat_every must be positive")
         if not isinstance(self.input_data, str):
@@ -135,19 +120,27 @@ class JobSpec:
             self.resume_from, str
         ):
             raise SpecError("resume_from must be a checkpoint path")
-        if self.sampling is not None:
-            if self.model not in ("aie", "doe"):
-                raise SpecError(
-                    f"sampling requires a detailed cycle model "
-                    f"(aie/doe), not {self.model!r}"
-                )
-            from ..framework.sampling import SamplingConfig
-
-            try:
-                SamplingConfig.parse(self.sampling)
-            except ValueError as exc:
-                raise SpecError(str(exc))
+        if not isinstance(self.checkpoint_on_cancel, bool):
+            raise SpecError("checkpoint_on_cancel must be a boolean")
+        if self.sampling is not None and not isinstance(self.sampling, str):
+            raise SpecError("sampling must be a 'U:k[:W[:seed]]' string")
+        try:
+            self.run_config().validate()
+        except ValueError as exc:
+            raise SpecError(str(exc))
         return self
+
+    def run_config(self) -> RunConfig:
+        """The run settings of this job."""
+        return RunConfig(
+            engine=self.engine,
+            model=self.model,
+            branch_predictor=self.branch_predictor,
+            branch_penalty=self.branch_penalty,
+            fuse_cycles=self.fuse_cycles,
+            max_instructions=self.max_instructions,
+            sampling=self.sampling,
+        )
 
     @classmethod
     def from_doc(cls, doc: object) -> "JobSpec":

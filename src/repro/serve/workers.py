@@ -85,7 +85,6 @@ def execute_job(
     call it in-process for deterministic single-threaded checks.
     """
     from ..framework import pipeline
-    from ..framework.parallel import make_branch_model, make_cycle_model
     from ..programs import load_program
     from ..sim.errors import SimulationError
     from ..telemetry.stream import EventStream
@@ -114,10 +113,8 @@ def execute_job(
             plan_cache = pipeline.open_plan_cache(
                 built, directory=plan_cache_dir
             )
-        branch = make_branch_model(
-            spec.branch_predictor, spec.branch_penalty
-        )
-        model = make_cycle_model(spec.model, built.issue_width, branch)
+        config = spec.run_config()
+        model = config.make_model(built.issue_width)
         events = EventStream(heartbeat_every=spec.heartbeat_every)
         if emit is not None:
             events.subscribe(emit)
@@ -128,13 +125,10 @@ def execute_job(
         result = pipeline.run(
             built,
             cycle_model=model,
-            engine=spec.engine,
-            max_instructions=spec.max_instructions,
             input_data=spec.input_data.encode("utf-8"),
             resume_from=spec.resume_from,
             workload=spec.workload,
             plan_cache=plan_cache,
-            fuse_cycles=spec.fuse_cycles,
             events=events,
             flight=flight,
             collect_metrics=True,
@@ -142,7 +136,7 @@ def execute_job(
             cancel_checkpoint_dir=(
                 checkpoint_dir if spec.checkpoint_on_cancel else None
             ),
-            sampling=spec.sampling,
+            **config.run_kwargs(),
         )
         if plan_cache is not None:
             plan_cache.save()

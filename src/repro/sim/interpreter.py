@@ -62,8 +62,6 @@ class Interpreter:
         *,
         cycle_model=None,
         tracer=None,
-        use_decode_cache: bool = True,
-        use_prediction: bool = True,
         engine: Optional[str] = None,
         ip_history: int = 0,
         breakpoints=None,
@@ -97,23 +95,15 @@ class Interpreter:
         self.cycle_model = cycle_model
         self.tracer = tracer
         if engine is None:
-            # Legacy flag spelling of the first three engines.
-            if not use_decode_cache:
-                engine = "nocache"
-            elif not use_prediction:
-                engine = "cache"
-            else:
-                engine = "predict"
+            engine = "predict"
         elif engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        else:
-            use_decode_cache = engine != "nocache"
-            use_prediction = engine in ("predict", "superblock", "aot")
         self.engine = engine
-        self.use_decode_cache = use_decode_cache
-        self.use_prediction = use_prediction
+        #: Featureful-loop switches of the paper's Table I engines.
+        self.use_decode_cache = engine != "nocache"
+        self.use_prediction = engine not in ("nocache", "cache")
         self.cache = DecodeCache(self.target)
         #: Superblock translation engine (engine="superblock", and the
         #: interactive fallback of engine="aot").
@@ -175,7 +165,7 @@ class Interpreter:
         #: store overwrites translated code, so a running superblock can
         #: abort after the offending instruction commits.
         self._inv = [False]
-        if use_decode_cache:
+        if self.use_decode_cache:
             state.mem.add_code_listener(self._on_code_write)
         self.ip_history = (
             deque(maxlen=ip_history) if ip_history > 0 else None

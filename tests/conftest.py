@@ -56,13 +56,11 @@ def kc():
 
 def run_built(built: BuildResult, *, cycle_model=None, tracer=None,
               max_instructions: int = 50_000_000,
-              use_decode_cache: bool = True, use_prediction: bool = True,
               engine: Optional[str] = None,
               input_data: bytes = b"") -> Tuple[LoadedProgram, object]:
     program = load_executable(built.elf, built.arch, input_data=input_data)
     interp = Interpreter(
         program.state, cycle_model=cycle_model, tracer=tracer,
-        use_decode_cache=use_decode_cache, use_prediction=use_prediction,
         engine=engine,
     )
     stats = interp.run(max_instructions=max_instructions)

@@ -1,8 +1,11 @@
 """Command-line interface smoke tests (every subcommand)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.sim.errors import SimulationError
 
 
 @pytest.fixture()
@@ -159,3 +162,36 @@ class TestEmitDoc:
         assert main(["targetgen", "--emit-doc", doc]) == 0
         text = open(doc).read()
         assert "ISA reference" in text and "switchtarget" in text
+
+
+class TestRunTrap:
+    @pytest.fixture()
+    def trap_elf(self, tmp_path):
+        # A short loop, then an undefined operation word.
+        asm = tmp_path / "trap.s"
+        asm.write_text(
+            ".global $risc$main\n$risc$main:\nli a0, 300\nloop:\n"
+            "addi a0, a0, -1\nbne a0, zero, loop\n"
+            ".word 0xffffffff\nhalt\n"
+        )
+        elf = str(tmp_path / "trap.elf")
+        assert main(["asm", str(asm), "-o", elf]) == 0
+        return elf
+
+    @pytest.mark.parametrize("extra", [[], ["--sample", "50:2:10"]],
+                             ids=["exact", "sample"])
+    def test_trap_renders_flight_trail(self, trap_elf, tmp_path, capsys,
+                                       extra):
+        flight = str(tmp_path / "flight.json")
+        events = str(tmp_path / "events.ndjson")
+        with pytest.raises(SimulationError):
+            main(["run", trap_elf, "--model", "doe", "--no-plan-cache",
+                  "--flight", flight, "--events", events, "--live",
+                  *extra])
+        err = capsys.readouterr().err
+        assert "flight recorder" in err and "trap" in err
+        assert f"flight dump:  wrote {flight}" in err
+        assert err.endswith("\n")  # the live progress line was closed
+        assert json.load(open(flight))["blocks"]
+        types = [json.loads(line)["type"] for line in open(events)]
+        assert types[0] == "run-start" and types[-1] == "trap"

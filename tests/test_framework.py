@@ -58,7 +58,7 @@ class TestPipeline:
     def test_decode_cache_toggles(self):
         built = build(SOURCE, filename="app.kc")
         fast = run(built)
-        slow = run(built, use_decode_cache=False)
+        slow = run(built, engine="nocache")
         assert fast.output == slow.output
         assert slow.stats.decoded_instructions == \
             slow.stats.executed_instructions

@@ -80,7 +80,7 @@ class TestInterpreterLoopVariantEquivalence:
         words = [RISC.by_name[name].encode(vals) for name, vals in ops]
         words.append(RISC.by_name["halt"].encode({}))
 
-        def run_variant(use_cache, use_pred, full=False):
+        def run_variant(engine, full=False):
             state = ProcessorState(KAHRISMA)
             rng = seed
             for i in range(28):
@@ -93,17 +93,16 @@ class TestInterpreterLoopVariantEquivalence:
             Syscalls().install(state)
             interp = Interpreter(
                 state,
-                use_decode_cache=use_cache,
-                use_prediction=use_pred,
+                engine=engine,
                 ip_history=8 if full else 0,
             )
             interp.run(max_instructions=1000)
             return list(state.regs)
 
-        reference = run_variant(True, True)
-        assert run_variant(True, False) == reference
-        assert run_variant(False, False) == reference
-        assert run_variant(True, True, full=True) == reference
+        reference = run_variant("predict")
+        assert run_variant("cache") == reference
+        assert run_variant("nocache") == reference
+        assert run_variant("predict", full=True) == reference
 
 
 class TestMemoryModelProperties:

@@ -87,6 +87,22 @@ class TestJobSpec:
         with pytest.raises(SpecError, match="tenant"):
             JobSpec.from_doc({"program": "dct4x4", "tenant": ""})
 
+    def test_run_rules_match_the_cli(self):
+        # `kahrisma run` rejects a predictor on a model without a fetch
+        # stage; so must serve.
+        for model in ("none", "ilp"):
+            with pytest.raises(SpecError, match="fetch stage"):
+                JobSpec.from_doc({"program": "dct4x4", "model": model,
+                                  "branch_predictor": "gshare"})
+        spec = JobSpec.from_doc({"program": "dct4x4", "model": "doe",
+                                 "branch_predictor": "gshare"})
+        assert spec.run_config().make_model(1).branch_model is not None
+
+    def test_boolean_fields_validated(self):
+        for name in ("fuse_cycles", "checkpoint_on_cancel"):
+            with pytest.raises(SpecError, match=name):
+                JobSpec.from_doc({"program": "dct4x4", name: "false"})
+
     def test_doc_roundtrip(self):
         spec = JobSpec.from_doc({"program": "fft", "engine": "aot",
                                  "priority": 3})
@@ -335,6 +351,13 @@ class TestServerEndToEnd:
         with pytest.raises(ServeError) as excinfo:
             client.submit({"program": "dct4x4", "bogus": 1})
         assert excinfo.value.status == 400
+        for doc in ({"model": "none", "branch_predictor": "gshare"},
+                    {"model": "ilp", "branch_predictor": "bimodal"},
+                    {"fuse_cycles": "false"},
+                    {"checkpoint_on_cancel": "false"}):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit({"program": "dct4x4", **doc})
+            assert excinfo.value.status == 400
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeError) as excinfo:

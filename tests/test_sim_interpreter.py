@@ -44,10 +44,8 @@ class TestLoopVariants:
     )
     def test_all_variants_agree(self, target, loop_words, cache, predict):
         state = make_state(target, loop_words)
-        interp = Interpreter(
-            state, use_decode_cache=cache, use_prediction=predict
-        )
-        stats = interp.run()
+        engine = "predict" if predict else "cache" if cache else "nocache"
+        stats = Interpreter(state, engine=engine).run()
         assert state.regs[6] == 55
         assert stats.executed_instructions == 33
 
@@ -70,7 +68,7 @@ class TestLoopVariants:
 
     def test_nocache_decodes_every_instruction(self, target, loop_words):
         state = make_state(target, loop_words)
-        stats = Interpreter(state, use_decode_cache=False).run()
+        stats = Interpreter(state, engine="nocache").run()
         assert stats.decoded_instructions == 33
         assert stats.decode_avoidance == 0.0
 

@@ -112,5 +112,5 @@ class TestSameBinaryValidation:
             return tracer.records
 
         reference = trace()
-        assert diff_traces(reference, trace(use_decode_cache=False)) is None
-        assert diff_traces(reference, trace(use_prediction=False)) is None
+        assert diff_traces(reference, trace(engine="nocache")) is None
+        assert diff_traces(reference, trace(engine="cache")) is None

@@ -451,6 +451,41 @@ class TestCli:
         assert "event stream schema" in out
         assert "== events ==" in out
 
+    @pytest.mark.parametrize("sampling", [None, "500:4:50"])
+    def test_run_start_same_everywhere(self, elf, tmp_path, sampling):
+        """CLI, pipeline.run and serve describe one run identically."""
+        from repro.cli import main
+        from repro.cycles.doe import DoeModel
+        from repro.serve import JobSpec
+        from repro.serve.workers import execute_job
+
+        def run_start(events):
+            start = events[0]
+            assert start["type"] == "run-start"
+            return {k: v for k, v in start.items()
+                    if k not in ("v", "seq", "t")}
+
+        source = open(str(tmp_path / "app.kc")).read()
+        path = str(tmp_path / "cli.ndjson")
+        argv = ["run", elf, "--model", "doe", "--events", path,
+                "--no-plan-cache"]
+        main(argv + (["--sample", sampling] if sampling else []))
+        cli = run_start(validate_stream_text(open(path).read()))
+
+        built = pipeline.build(source, filename="app.kc")
+        stream = EventStream()
+        pipeline.run(built, engine="superblock", workload=elf,
+                     cycle_model=DoeModel(issue_width=built.issue_width),
+                     sampling=sampling, events=stream)
+        direct = run_start(stream.events)
+
+        served = []
+        execute_job("job-1", JobSpec(source=source, label=elf, model="doe",
+                                     sampling=sampling),
+                    emit=served.append, use_plan_cache=False)
+        assert cli == direct == run_start(served)
+        assert cli["model"] == "doe" and cli["engine"] == "superblock"
+
     def test_events_stdout_is_pure_ndjson(self, elf, capsys):
         from repro.cli import main
 
