@@ -28,8 +28,11 @@ from .runner import (
     Divergence,
     EngineConfig,
     FuzzBuilt,
+    Outcome,
     assemble_fuzz,
+    compare,
     default_matrix,
+    observe,
     run_differential,
 )
 from .shrink import shrink
@@ -40,10 +43,13 @@ __all__ = [
     "FuzzBuilt",
     "FuzzProgram",
     "GenConfig",
+    "Outcome",
     "assemble_fuzz",
+    "compare",
     "default_matrix",
     "generate_program",
     "load_corpus",
+    "observe",
     "replay_entry",
     "run_differential",
     "save_reproducer",

@@ -1,11 +1,18 @@
 """Differential execution harness over all engines and cycle models.
 
+This module is the one definition of run equivalence.  :func:`observe`
+records everything the simulator defines as observable — registers,
+IP, active ISA, halt flag, exit code, syscall output, memory digest,
+the architectural statistics, any trap, and model cycles — and
+:func:`compare` names every observable in which two runs differ
+(cycles only between runs of the same cycle model).  Model state
+beyond cycles is the models' ``save_state()``; see
+``docs/validation.md``.
+
 One generated (or corpus) program is assembled once and executed under
-every configuration of the matrix; every observable the simulator
-defines — registers, IP, active ISA, halt flag, exit code, memory
-digest, syscall output, executed-instruction count, and model cycles —
-must be *bitwise identical* across configurations (cycles are compared
-within a cycle-model group, everything else across the whole matrix).
+every configuration of the matrix; every observable must be *bitwise
+identical* across configurations (cycles within a cycle-model group,
+everything else across the whole matrix).
 
 A mismatch is escalated to :func:`repro.telemetry.run_lockstep`, which
 re-runs the reference engine against the divergent configuration in
@@ -103,9 +110,12 @@ def assemble_fuzz(asm: str, *, name: str = "<fuzz>") -> FuzzBuilt:
 
 @dataclass
 class Outcome:
-    """Everything observable about one configuration run."""
+    """Everything observable about one run — the equivalence key.
 
-    config: EngineConfig
+    Built by :func:`observe`; :func:`compare` names the fields in which
+    two outcomes differ.
+    """
+
     regs: tuple = ()
     ip: int = 0
     isa: int = 0
@@ -113,16 +123,65 @@ class Outcome:
     exit_code: int = 0
     output: str = ""
     mem_digest: str = ""
-    instructions: int = 0
-    cycles: Optional[int] = None
+    #: ``SimStats.architectural_dict()``: instructions, slots, ops,
+    #: memory instructions/ops, simops, ISA switches, exit code.
+    stats: dict = field(default_factory=dict)
     #: Trap text when the run raised SimulationError (compared too:
     #: every engine must trap identically or not at all).
     error: Optional[str] = None
+    #: Name of the cycle model that observed the run; cycles are only
+    #: comparable between outcomes of the same model.
+    model: Optional[str] = None
+    cycles: Optional[int] = None
+    #: The matrix cell that produced this outcome (None outside the
+    #: differential runner).
+    config: Optional[EngineConfig] = None
 
     def arch_key(self) -> tuple:
-        return (self.regs, self.ip, self.isa, self.halted,
-                self.exit_code, self.output, self.mem_digest,
-                self.instructions, self.error)
+        return (self.regs, self.ip, self.isa, self.halted, self.exit_code,
+                self.output, self.mem_digest, self.stats, self.error)
+
+
+def observe(program, stats, model=None, error=None) -> Outcome:
+    """Observe a finished (or trapped) run of a loaded ``program``."""
+    state = program.state
+    return Outcome(
+        regs=tuple(state.regs),
+        ip=state.ip,
+        isa=state.isa_id,
+        halted=state.halted,
+        exit_code=state.exit_code,
+        output=program.syscalls.output_text(),
+        mem_digest=memory_digest(state.mem),
+        stats=stats.architectural_dict(),
+        error=error,
+        model=None if model is None else model.name,
+        cycles=None if model is None else model.cycles,
+    )
+
+
+def compare(ref: Outcome, got: Outcome) -> List[str]:
+    """Name every observable in which ``got`` differs from ``ref``.
+
+    Cycles are compared only when both outcomes come from the same
+    cycle model.  An empty list means the runs are equivalent.
+    """
+    diffs = [
+        f"r{i}: {a:#x} != {b:#x}"
+        for i, (a, b) in enumerate(zip(ref.regs, got.regs)) if a != b
+    ]
+    for name in ("ip", "isa", "halted", "exit_code", "output",
+                 "mem_digest", "error"):
+        a, b = getattr(ref, name), getattr(got, name)
+        if a != b:
+            diffs.append(f"{name}: {a!r} != {b!r}")
+    for name in sorted(set(ref.stats) | set(got.stats)):
+        a, b = ref.stats.get(name), got.stats.get(name)
+        if a != b:
+            diffs.append(f"{name}: {a!r} != {b!r}")
+    if ref.model == got.model and ref.cycles != got.cycles:
+        diffs.append(f"cycles: {ref.cycles!r} != {got.cycles!r}")
+    return diffs
 
 
 def run_config(
@@ -167,20 +226,9 @@ def run_config(
                 interp.run(max_instructions=max_instructions - head)
     except SimulationError as exc:
         error = str(exc)
-    state = program.state
-    return Outcome(
-        config=config,
-        regs=tuple(state.regs),
-        ip=state.ip,
-        isa=state.isa_id,
-        halted=state.halted,
-        exit_code=state.exit_code,
-        output=program.syscalls.output_text(),
-        mem_digest=memory_digest(state.mem),
-        instructions=interp.stats.executed_instructions,
-        cycles=model.cycles if model is not None else None,
-        error=error,
-    )
+    outcome = observe(program, interp.stats, model, error)
+    outcome.config = config
+    return outcome
 
 
 @dataclass
@@ -215,27 +263,6 @@ class DiffResult:
     @property
     def ok(self) -> bool:
         return not self.divergences
-
-
-def _describe_mismatch(ref: Outcome, got: Outcome) -> str:
-    parts = []
-    if ref.regs != got.regs:
-        for i, (a, b) in enumerate(zip(ref.regs, got.regs)):
-            if a != b:
-                parts.append(f"r{i}: {a:#x} != {b:#x}")
-                if len(parts) >= 4:
-                    break
-    for name in ("ip", "isa", "halted", "exit_code", "instructions"):
-        a, b = getattr(ref, name), getattr(got, name)
-        if a != b:
-            parts.append(f"{name}: {a!r} != {b!r}")
-    if ref.output != got.output:
-        parts.append(f"output: {ref.output!r} != {got.output!r}")
-    if ref.mem_digest != got.mem_digest:
-        parts.append("memory digest differs")
-    if ref.error != got.error:
-        parts.append(f"trap: {ref.error!r} != {got.error!r}")
-    return "; ".join(parts) or "states differ"
 
 
 def _make_model(name: Optional[str]):
@@ -291,45 +318,36 @@ def run_differential(
     result.outcomes = outcomes
 
     ref = outcomes[0]
-    cycle_ref: Dict[str, Outcome] = {}
+    cycle_ref: Dict[Optional[str], Outcome] = {}
     for got in outcomes:
-        divergence = None
-        if got is not ref and got.arch_key() != ref.arch_key():
-            kind = (
-                "trap" if (got.error is None) != (ref.error is None)
-                else "architectural"
-            )
-            divergence = Divergence(
-                kind=kind, config=got.config, reference=ref.config,
-                detail=_describe_mismatch(ref, got),
-            )
-        elif got.cycles is not None and got.config.model is not None:
-            group = cycle_ref.setdefault(got.config.model, got)
-            if got is not group and got.cycles != group.cycles:
-                divergence = Divergence(
-                    kind="cycles", config=got.config,
-                    reference=group.config,
-                    detail=(
-                        f"{got.config.model} cycles: "
-                        f"{group.cycles} ({group.config.label}) != "
-                        f"{got.cycles} ({got.config.label})"
-                    ),
-                )
-        if divergence is None:
+        # Architecture against the reference; cycles against the first
+        # outcome of the same model (which agreed with the reference).
+        base = ref
+        diffs = compare(ref, got)
+        if not diffs:
+            base = cycle_ref.setdefault(got.model, got)
+            diffs = compare(base, got)
+        if not diffs:
             continue
+        if (got.error is None) != (base.error is None):
+            kind = "trap"
+        elif got.arch_key() != base.arch_key():
+            kind = "architectural"
+        else:
+            kind = "cycles"
+        divergence = Divergence(
+            kind=kind, config=got.config, reference=base.config,
+            detail="; ".join(diffs),
+        )
         if escalate:
-            base = (
-                divergence.reference if divergence.kind == "cycles"
-                else ref.config
-            )
             victim_inject = (
-                inject if divergence.config.label == inject_into else None
+                inject if got.config.label == inject_into else None
             )
             try:
                 divergence.forensics = run_lockstep(
                     built,
-                    _lockstep_config(base),
-                    _lockstep_config(divergence.config),
+                    _lockstep_config(base.config),
+                    _lockstep_config(got.config),
                     interval=lockstep_interval,
                     max_instructions=max_instructions,
                     inject=victim_inject,
@@ -365,7 +383,7 @@ def self_test(
         built, EngineConfig("nocache", None),
         max_instructions=max_instructions,
     )
-    total = reference.instructions
+    total = reference.stats["executed_instructions"]
     candidates = []
     for frac in (0.9, 0.5, 0.25):
         at = max(1, int(total * frac) - 1)
@@ -391,8 +409,12 @@ __all__ = [
     "EngineConfig",
     "FuzzBuilt",
     "Outcome",
+    "SELF_TEST_VICTIM",
     "assemble_fuzz",
+    "compare",
     "default_matrix",
+    "observe",
     "run_config",
     "run_differential",
+    "self_test",
 ]

@@ -2,13 +2,14 @@
 
 The AOT engine is a pure optimisation over the superblock engine,
 which itself is pinned to the reference ``predict`` loop — so every
-test here compares ``engine="aot"`` runs bitwise against
-``engine="superblock"``: registers, memory image, exit code,
-instruction/slot counts and (for fused models) exact cycle counts.
-Self-modifying code gets dedicated tests because the AOT module binds
-translated functions for the *whole program* up front: its per-entry
-byte digests and live invalidation must fall back to the interactive
-engine byte-precisely, mid-run.
+test here compares ``engine="aot"`` runs against
+``engine="superblock"`` under the one equivalence rule
+(``docs/validation.md``): every observable, cycles, and the cycle
+model's full ``save_state()``.  Self-modifying code gets dedicated
+tests because the AOT module binds translated functions for the
+*whole program* up front: its per-entry byte digests and live
+invalidation must fall back to the interactive engine byte-precisely,
+mid-run.
 """
 
 from __future__ import annotations
@@ -26,91 +27,21 @@ from repro.binutils.elf import (
     SHF_EXECINSTR,
 )
 from repro.binutils.loader import load_executable
-from repro.cycles.aie import AieModel
-from repro.cycles.doe import DoeModel
-from repro.cycles.ilp import IlpModel
-from repro.cycles.memmodel import HierarchyConfig, build_hierarchy
-from repro.framework.pipeline import build_benchmark, open_plan_cache, run
+from repro.framework.pipeline import open_plan_cache, run
 from repro.programs import program_names
 from repro.sim import aot
 from repro.sim.interpreter import Interpreter
 from repro.sim.state import TEXT_BASE
 
+from .conftest import (
+    BENCHMARKS,
+    CAP,
+    HIERARCHIES,
+    assert_equivalent,
+    built_benchmark,
+    run_cell,
+)
 from .test_sim_interpreter import enc, make_state
-from .test_superblock import mem_digest
-
-BENCHMARKS = ("cjpeg", "djpeg", "fft", "qsort", "aes", "dct4x4", "crc32")
-
-#: Run cap per differential cell — same budget as the cycle-fusion
-#: matrix: crosses every hot threshold, keeps the matrix in tier-1.
-CAP = 60_000
-
-#: The cycle-fusion suite's two hierarchy shapes: the paper default
-#: and a tiny blocking-port variant that forces misses and stalls.
-HIERARCHIES = {
-    "default": HierarchyConfig(),
-    "tiny": HierarchyConfig(
-        l1_size=256, l1_assoc=1, l2_size=2 * 1024, l2_assoc=2,
-        main_delay=40, l1_blocking_port=True,
-    ),
-}
-
-_BUILDS = {}
-_MODULES = {}
-
-
-def built_benchmark(name):
-    if name not in _BUILDS:
-        _BUILDS[name] = build_benchmark(name)
-    return _BUILDS[name]
-
-
-def make_model(kind, width, config):
-    if kind == "none":
-        return None
-    if kind == "ilp":
-        return IlpModel()
-    memory = build_hierarchy(config)
-    if kind == "aie":
-        return AieModel(memory=memory)
-    return DoeModel(issue_width=width, memory=memory)
-
-
-def module_for(name, kind, hierarchy):
-    """Compile (once per cell) the AOT module serving one matrix cell.
-
-    ILP cells return None — block-observing models have no AOT
-    representation, so those cells exercise the engine's transparent
-    degradation to the interactive superblock loop.
-    """
-    key = (name, kind, hierarchy)
-    if key not in _MODULES:
-        built = built_benchmark(name)
-        model = make_model(kind, built.issue_width, HIERARCHIES[hierarchy])
-        _MODULES[key] = aot.prepare(
-            built.elf, built.arch, model=model, profile_budget=CAP
-        )
-    return _MODULES[key]
-
-
-def snap(result, model):
-    state = result.program.state
-    return {
-        "exit": state.exit_code,
-        "halted": state.halted,
-        "ip": state.ip,
-        "regs": tuple(state.regs),
-        "mem": mem_digest(state.mem),
-        "output": result.output,
-        "instructions": result.stats.executed_instructions,
-        "slots": result.stats.executed_slots,
-        "mem_instructions": result.stats.memory_instructions,
-        "mem_ops": result.stats.memory_ops,
-        "isa_switches": result.stats.isa_switches,
-        "cycles": model.cycles,
-        "ops": getattr(model, "ops", 0),
-        "model_instructions": getattr(model, "instructions", 0),
-    }
 
 
 class TestDifferentialMatrix:
@@ -123,41 +54,22 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("kind", ["ilp", "aie", "doe"])
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_bitwise_identical(self, name, kind, hierarchy):
-        built = built_benchmark(name)
-        config = HIERARCHIES[hierarchy]
-        ref_model = make_model(kind, built.issue_width, config)
-        ref = run(built, engine="superblock", cycle_model=ref_model,
-                  max_instructions=CAP)
-        module = module_for(name, kind, hierarchy)
-        aot_model = make_model(kind, built.issue_width, config)
-        got = run(built, engine="aot", aot_module=module,
-                  cycle_model=aot_model, max_instructions=CAP)
-        assert snap(got, aot_model) == snap(ref, ref_model)
+        ref = run_cell(name, "superblock", kind, hierarchy)
+        got = run_cell(name, "aot", kind, hierarchy)
+        assert_equivalent(ref, got)
         if kind == "ilp":
             # No AOT representation: the run degraded to the
             # interactive engine (and still matched bitwise).
-            assert module is None
             assert got.interpreter.aot is None
         else:
-            binding = got.interpreter.aot
-            assert binding is not None
-            assert binding.blocks_executed > 0
+            assert got.interpreter.aot.blocks_executed > 0
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_functional_bitwise_identical(self, name):
         """The ``""`` namespace (no cycle model) for every benchmark."""
-        built = built_benchmark(name)
-        ref = run(built, engine="superblock", max_instructions=CAP)
-        module = module_for(name, "none", "default")
-        got = run(built, engine="aot", aot_module=module,
-                  max_instructions=CAP)
-        state_a, state_b = ref.program.state, got.program.state
-        assert tuple(state_b.regs) == tuple(state_a.regs)
-        assert mem_digest(state_b.mem) == mem_digest(state_a.mem)
-        assert state_b.exit_code == state_a.exit_code
-        assert got.output == ref.output
-        assert (got.stats.architectural_dict()
-                == ref.stats.architectural_dict())
+        ref = run_cell(name, "superblock", "none")
+        got = run_cell(name, "aot", "none")
+        assert_equivalent(ref, got)
         assert got.interpreter.aot.blocks_executed > 0
 
 
@@ -267,9 +179,7 @@ class TestMaxBlockLen:
         ref = run(built, engine="superblock", max_instructions=CAP)
         capped = run(built, engine="superblock", max_block_len=8,
                      max_instructions=CAP)
-        assert (capped.stats.architectural_dict()
-                == ref.stats.architectural_dict())
-        assert capped.output == ref.output
+        assert_equivalent(ref, capped)
         plans = capped.interpreter.superblock.plans.values()
         assert plans and max(p.n_instr for p in plans) <= 8
 
@@ -334,11 +244,7 @@ class TestModuleCache:
         )
         b = run(built, engine="aot", aot_module=warm_module,
                 max_instructions=CAP)
-        assert (a.stats.architectural_dict()
-                == b.stats.architectural_dict())
-        assert tuple(a.program.state.regs) == tuple(b.program.state.regs)
-        assert (mem_digest(a.program.state.mem)
-                == mem_digest(b.program.state.mem))
+        assert_equivalent(a, b)
 
     def test_payload_roundtrip(self, risc_table):
         words = [enc(risc_table, "addi", rd=5, rs1=0, imm=7),
@@ -361,7 +267,7 @@ class TestTelemetry:
         from repro.telemetry.collect import collect_interpreter_metrics
 
         built = built_benchmark("dct4x4")
-        module = module_for("dct4x4", "none", "default")
+        module = aot.prepare(built.elf, built.arch, profile_budget=CAP)
         result = run(built, engine="aot", aot_module=module,
                      max_instructions=CAP)
         metrics = collect_interpreter_metrics(result.interpreter)

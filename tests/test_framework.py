@@ -12,6 +12,8 @@ from repro.framework.selection import (
     select_isas,
 )
 
+from .conftest import assert_equivalent
+
 SOURCE = """
 int helper(int x) { return x * 3 + 1; }
 int main() {
@@ -59,7 +61,7 @@ class TestPipeline:
         built = build(SOURCE, filename="app.kc")
         fast = run(built)
         slow = run(built, engine="nocache")
-        assert fast.output == slow.output
+        assert_equivalent(fast, slow)
         assert slow.stats.decoded_instructions == \
             slow.stats.executed_instructions
 

@@ -34,6 +34,7 @@ from repro.fuzz import (
     save_reproducer,
     shrink,
 )
+from repro.fuzz import Outcome, compare
 from repro.fuzz.runner import EngineConfig, run_config, self_test
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -81,7 +82,7 @@ class TestGenerator:
         outcome = run_config(built, EngineConfig("nocache"))
         assert outcome.error is None
         assert outcome.halted
-        assert 0 < outcome.instructions < 100_000
+        assert 0 < outcome.stats["executed_instructions"] < 100_000
 
 
 class TestRunner:
@@ -116,6 +117,50 @@ class TestRunner:
         assert div.forensics is not None
         assert div.forensics["first_divergent_instruction"] is not None
         assert div.first_divergent_pc is not None
+
+
+class TestCompare:
+    """``compare`` names exactly the observables that differ."""
+
+    def _outcome(self, **changes):
+        stats = {"executed_instructions": 40, "isa_switches": 2}
+        stats.update(changes.pop("stats", {}))
+        doc = dict(regs=(0, 7, 9), ip=0x100, isa=1, halted=True,
+                   exit_code=0, output="ok\n", mem_digest="abc",
+                   stats=stats, model="DOE", cycles=123)
+        doc.update(changes)
+        return Outcome(**doc)
+
+    @pytest.mark.parametrize("name,changes", [
+        ("r1", {"regs": (0, 8, 9)}),
+        ("ip", {"ip": 0x104}),
+        ("isa", {"isa": 0}),
+        ("halted", {"halted": False}),
+        ("exit_code", {"exit_code": 3}),
+        ("output", {"output": "ok\nno\n"}),
+        ("mem_digest", {"mem_digest": "abd"}),
+        ("isa_switches", {"stats": {"isa_switches": 3}}),
+        ("error", {"error": "illegal instruction"}),
+        ("cycles", {"cycles": 124}),
+    ])
+    def test_names_exactly_the_changed_field(self, name, changes):
+        assert compare(self._outcome(), self._outcome()) == []
+        diffs = compare(self._outcome(), self._outcome(**changes))
+        assert len(diffs) == 1, diffs
+        assert diffs[0].startswith(f"{name}: "), diffs
+
+    def test_cycles_of_different_models_not_compared(self):
+        ref = self._outcome()
+        assert compare(ref, self._outcome(model="AIE", cycles=999)) == []
+        assert compare(ref, self._outcome(model=None, cycles=None)) == []
+
+    def test_matrix_compares_every_architectural_stat(self):
+        program = generate_program(1238, GenConfig(smc=True))
+        built = assemble_fuzz(program.render())
+        outcome = run_config(built, EngineConfig("superblock", "doe"))
+        assert set(outcome.stats) >= {
+            "executed_slots", "memory_ops", "simops", "isa_switches"}
+        assert outcome.stats["isa_switches"] > 0
 
 
 class TestShrinker:

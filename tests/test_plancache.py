@@ -21,6 +21,8 @@ from repro.framework.pipeline import (
 )
 from repro.sim.plancache import FORMAT_VERSION, PlanCache, default_cache_dir
 
+from .conftest import assert_equivalent
+
 _BUILDS = {}
 
 
@@ -361,23 +363,20 @@ class TestModuleSideFiles:
 class TestWarmRuns:
     def test_warm_run_skips_translation(self, tmp_path):
         built = built_benchmark("dct4x4")
-        cold_model = DoeModel(issue_width=built.issue_width)
-        cold = run(built, engine="superblock", cycle_model=cold_model,
+        cold = run(built, engine="superblock",
+                   cycle_model=DoeModel(issue_width=built.issue_width),
                    plan_cache=fresh_cache(tmp_path, built))
         cold_engine = cold.interpreter.superblock
         assert cold_engine.translations > 0
         assert os.path.exists(cold.interpreter.plan_cache.path)
 
-        warm_model = DoeModel(issue_width=built.issue_width)
-        warm = run(built, engine="superblock", cycle_model=warm_model,
+        warm = run(built, engine="superblock",
+                   cycle_model=DoeModel(issue_width=built.issue_width),
                    plan_cache=fresh_cache(tmp_path, built))
         warm_engine = warm.interpreter.superblock
         assert warm_engine.translations == 0
         assert warm_engine.plan_cache_hits > 0
-        assert warm_model.cycles == cold_model.cycles
-        assert (warm.stats.architectural_dict()
-                == cold.stats.architectural_dict())
-        assert warm.output == cold.output
+        assert_equivalent(cold, warm)
 
     def test_functional_and_fused_share_a_file(self, tmp_path):
         built = built_benchmark("qsort")

@@ -24,6 +24,8 @@ from repro.framework.sampling import (
 )
 from repro.programs import load_program
 
+from .conftest import assert_equivalent
+
 BENCH = "dct4x4"
 SPEC = "2000:10:200"
 
@@ -196,12 +198,7 @@ class TestSampledRun:
             cycle_model=DoeModel(issue_width=built.issue_width),
             sampling=SPEC,
         )
-        assert sampled.output == functional.output
-        assert sampled.exit_code == functional.exit_code
-        assert (sampled.stats.executed_instructions
-                == functional.stats.executed_instructions)
-        assert (list(sampled.program.state.regs)
-                == list(functional.program.state.regs))
+        assert_equivalent(functional, sampled)
 
     def test_requires_detailed_model(self):
         built = _build()
@@ -318,9 +315,7 @@ class TestCancelResume:
         assert resumed.sampling.intervals == baseline.sampling.intervals
         assert (resumed.sampling.cycles_estimated
                 == baseline.sampling.cycles_estimated)
-        assert (resumed.stats.executed_instructions
-                == baseline.stats.executed_instructions)
-        assert resumed.output == baseline.output
+        assert_equivalent(baseline, resumed)
 
     def test_resume_mid_measured_interval_same_estimate(self, tmp_path):
         built = _build()

@@ -41,6 +41,8 @@ from repro.serve.workers import WorkerPool, execute_job
 from repro.sim.interpreter import CANCEL_SLICE
 from repro.telemetry.stream import validate_stream_text
 
+from .conftest import assert_equivalent
+
 
 def ndjson(events) -> str:
     return "\n".join(json.dumps(e, sort_keys=True) for e in events)
@@ -766,8 +768,4 @@ class TestCancelSliceFallback:
             resume_from=cancelled.cancel_checkpoint,
         )
         assert not resumed.cancelled
-        assert resumed.stats.executed_instructions == (
-            straight.stats.executed_instructions
-        )
-        assert resumed.output == straight.output
-        assert resumed.exit_code == straight.exit_code
+        assert_equivalent(straight, resumed)

@@ -31,20 +31,10 @@ from repro.snapshot import (
     snapshot_run,
 )
 
+from .conftest import assert_equivalent
+
 def build_benchmark_cached(kc, name):
     return kc(load_program(name), filename=f"{name}.kc")
-
-
-def architectural_end_state(result):
-    return {
-        "regs": list(result.program.state.regs),
-        "ip": result.program.state.ip,
-        "isa": result.program.state.isa_id,
-        "memory": memory_digest(result.program.state.mem),
-        "output": result.output,
-        "exit_code": result.exit_code,
-        "stats": result.stats.architectural_dict(),
-    }
 
 
 # -- format layer ---------------------------------------------------------
@@ -246,13 +236,12 @@ def test_resume_matches_straight_run_per_benchmark(name, kc, tmp_path):
         checkpoint_every=max(total // 2, 1), checkpoint_dir=str(tmp_path),
     )
     assert part.checkpoints, f"{name}: no checkpoint written"
-    assert architectural_end_state(part) == architectural_end_state(straight)
+    assert_equivalent(straight, part)
 
     resumed = pipeline.run(
         built, engine="superblock", resume_from=part.checkpoints[0]
     )
-    assert (architectural_end_state(resumed)
-            == architectural_end_state(straight))
+    assert_equivalent(straight, resumed)
 
 
 @pytest.mark.parametrize("engine,budget", [
@@ -275,15 +264,13 @@ def test_resume_matches_straight_run_per_engine(engine, budget, kc, tmp_path):
         checkpoint_every=every, checkpoint_dir=str(tmp_path),
     )
     assert part.checkpoints
-    assert (part.stats.architectural_dict()
-            == straight.stats.architectural_dict())
+    assert_equivalent(straight, part)
 
     resumed = pipeline.run(
         built, engine=engine, resume_from=part.checkpoints[0],
         max_instructions=total - every,
     )
-    assert (architectural_end_state(resumed)
-            == architectural_end_state(straight))
+    assert_equivalent(straight, resumed)
 
 
 def test_resume_across_engines(kc, tmp_path):
@@ -298,8 +285,7 @@ def test_resume_across_engines(kc, tmp_path):
     resumed = pipeline.run(
         built, engine="predict", resume_from=part.checkpoints[-1]
     )
-    assert (architectural_end_state(resumed)
-            == architectural_end_state(straight))
+    assert_equivalent(straight, resumed)
 
 
 def test_resume_restores_cycle_model_and_telemetry_counters(kc, tmp_path):
@@ -326,12 +312,9 @@ def test_resume_restores_cycle_model_and_telemetry_counters(kc, tmp_path):
         built, engine="cache", cycle_model=resume_model,
         resume_from=part.checkpoints[0],
     )
-    assert resume_model.cycles == straight_model.cycles
+    assert_equivalent(straight, resumed)
     assert (collect_model_metrics(resume_model)
             == collect_model_metrics(straight_model))
-    assert resume_model.save_state() == straight_model.save_state()
-    assert (architectural_end_state(resumed)
-            == architectural_end_state(straight))
 
 
 def test_rand_state_survives_resume(kc, tmp_path):
@@ -359,8 +342,7 @@ def test_rand_state_survives_resume(kc, tmp_path):
         built, engine="superblock", resume_from=part.checkpoints[0]
     )
     assert resumed.output == straight.output
-    assert (architectural_end_state(resumed)
-            == architectural_end_state(straight))
+    assert_equivalent(straight, resumed)
 
 
 def test_identical_states_produce_identical_checkpoint_files(kc, tmp_path):

@@ -1,20 +1,20 @@
 """Superblock engine: differential equivalence, SMC, cycle-model parity.
 
 The superblock engine is a pure optimisation: every test here pins its
-observable behaviour to the reference ``predict`` loop — final register
-file, memory image, exit code, instruction/slot counts, and (with a
-cycle model attached) bit-identical cycle counts.  Self-modifying code
+observable behaviour to the reference ``predict`` loop through the one
+equivalence rule (``repro.fuzz.compare`` over ``observe`` outcomes,
+plus equal model ``save_state()`` with a cycle model attached).
+Self-modifying code
 gets its own regression tests because translated blocks cache decoded
 semantics far more aggressively than the decode cache alone.
 """
-
-import hashlib
 
 import pytest
 
 from repro.cycles.aie import AieModel
 from repro.cycles.doe import DoeModel
 from repro.cycles.ilp import IlpModel
+from repro.fuzz import compare, observe
 from repro.programs import load_program, program_names
 from repro.sim import superblock as superblock_mod
 from repro.sim.interpreter import ENGINES, Interpreter
@@ -48,69 +48,36 @@ int main() {
 """
 
 
-def mem_digest(mem) -> str:
-    """Canonical digest of resident memory, skipping all-zero pages.
-
-    Zero pages are skipped because the sparse memory may or may not
-    materialise them depending on access patterns (e.g. the word-view
-    fast path), while their contents are identical by definition.
-    """
-    h = hashlib.sha256()
-    for index, data in sorted(mem.pages()):
-        if not any(data):
-            continue
-        h.update(index.to_bytes(8, "little"))
-        h.update(bytes(data))
-    return h.hexdigest()
-
-
-def snapshot(program, stats) -> dict:
-    state = program.state
-    return {
-        "exit": state.exit_code,
-        "halted": state.halted,
-        "ip": state.ip,
-        "regs": tuple(state.regs),
-        "mem": mem_digest(state.mem),
-        "output": program.output,
-        "instructions": stats.executed_instructions,
-        "slots": stats.executed_slots,
-        "mem_instructions": stats.memory_instructions,
-        "mem_ops": stats.memory_ops,
-        "decoded": stats.decoded_instructions,
-        "isa_switches": stats.isa_switches,
-    }
-
-
 class TestDifferential:
     """predict vs superblock over every bundled benchmark program."""
 
     @pytest.mark.parametrize("name", sorted(program_names()))
     def test_benchmark_bit_identical(self, kc, name):
         built = kc(load_program(name), isa="risc", filename=f"{name}.kc")
-        base = snapshot(*run_built(built, engine="predict"))
-        fast = snapshot(*run_built(built, engine="superblock"))
-        assert fast == base
+        base_program, base = run_built(built, engine="predict")
+        fast_program, fast = run_built(built, engine="superblock")
+        assert compare(observe(base_program, base),
+                       observe(fast_program, fast)) == []
+        assert fast.decoded_instructions == base.decoded_instructions
 
     def test_mixed_isa_program(self, kc):
         built = kc(MIXED_SOURCE, isa="risc", isa_map={"helper": "vliw4"},
                    filename="sbmix.kc")
-        base = snapshot(*run_built(built, engine="predict"))
-        fast = snapshot(*run_built(built, engine="superblock"))
-        assert base["isa_switches"] == 40
-        assert fast == base
+        base_program, base = run_built(built, engine="predict")
+        fast_program, fast = run_built(built, engine="superblock")
+        assert base.isa_switches == 40
+        assert compare(observe(base_program, base),
+                       observe(fast_program, fast)) == []
+        assert fast.decoded_instructions == base.decoded_instructions
 
     def test_all_engines_agree(self, kc):
+        # Decode counts legitimately differ per engine; every
+        # observable must not.
         built = kc(MIXED_SOURCE, isa="vliw2", filename="sbv2.kc")
-        snaps = {e: snapshot(*run_built(built, engine=e)) for e in ENGINES}
-        reference = snaps["predict"]
-        for engine, snap in snaps.items():
-            # Decode counts legitimately differ per engine; everything
-            # architectural must not.
-            snap = dict(snap)
-            ref = dict(reference)
-            del snap["decoded"], ref["decoded"]
-            assert snap == ref, engine
+        outcomes = {e: observe(*run_built(built, engine=e))
+                    for e in ENGINES}
+        for engine, outcome in outcomes.items():
+            assert compare(outcomes["predict"], outcome) == [], engine
 
 
 class TestCycleModelParity:
@@ -125,25 +92,28 @@ class TestCycleModelParity:
     def test_cycle_counts_identical(self, kc, model_fn):
         built = kc(load_program("dct4x4"), isa="risc",
                    filename="dct4x4.kc")
-        results = {}
+        outcomes, states = [], []
         for engine in ("predict", "superblock"):
             model = model_fn()
             program, stats = run_built(built, engine=engine,
                                        cycle_model=model)
-            results[engine] = (model.cycles, model.ops,
-                               model.instructions, program.output)
-        assert results["superblock"] == results["predict"]
+            outcomes.append(observe(program, stats, model))
+            states.append(model.save_state())
+        assert compare(*outcomes) == []
+        assert states[0] == states[1]
 
     def test_ilp_uses_block_observation(self, kc):
         built = kc(load_program("fft"), isa="risc", filename="fft.kc")
         model = IlpModel()
         reference = IlpModel()
-        run_built(built, engine="predict", cycle_model=reference)
+        ref_program, ref_stats = run_built(built, engine="predict",
+                                           cycle_model=reference)
         program, stats = run_built(built, engine="superblock",
                                    cycle_model=model)
         assert model.observe_block is not None
-        assert (model.cycles, model.ops) == \
-            (reference.cycles, reference.ops)
+        assert compare(observe(ref_program, ref_stats, reference),
+                       observe(program, stats, model)) == []
+        assert model.save_state() == reference.save_state()
         assert model.instructions == stats.executed_instructions
 
 

@@ -13,7 +13,6 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
@@ -38,34 +37,10 @@ from repro.telemetry import (
     write_report,
 )
 
-from .conftest import run_built
+from .conftest import assert_equivalent, run_built
 
 
 SMALL = "fft"  # fast bundled benchmark with several functions
-
-
-def mem_digest(mem) -> str:
-    h = hashlib.sha256()
-    for index, data in sorted(mem.pages()):
-        if not any(data):
-            continue
-        h.update(index.to_bytes(8, "little"))
-        h.update(bytes(data))
-    return h.hexdigest()
-
-
-def arch_snapshot(result) -> dict:
-    state = result.program.state
-    return {
-        "exit": state.exit_code,
-        "ip": state.ip,
-        "regs": tuple(state.regs),
-        "mem": mem_digest(state.mem),
-        "output": result.output,
-        "instructions": result.stats.executed_instructions,
-        "slots": result.stats.executed_slots,
-        "mem_ops": result.stats.memory_ops,
-    }
 
 
 class TestRegistry:
@@ -180,7 +155,7 @@ class TestDifferentialTelemetry:
             profiler=HotspotProfiler(mode="block"),
             collect_metrics=True,
         )
-        assert arch_snapshot(profiled) == arch_snapshot(plain)
+        assert_equivalent(plain, profiled)
         assert (
             profiled.profiler.total_instructions
             == plain.stats.executed_instructions
@@ -191,7 +166,7 @@ class TestDifferentialTelemetry:
         plain = run(built, engine="predict")
         profiled = run(built, engine="predict",
                        profiler=HotspotProfiler(mode="exact"))
-        assert arch_snapshot(profiled) == arch_snapshot(plain)
+        assert_equivalent(plain, profiled)
 
     def test_timeline_run_identical(self, kc):
         built = cached(kc)
@@ -200,8 +175,7 @@ class TestDifferentialTelemetry:
         timed = run(built, engine="superblock",
                     cycle_model=DoeModel(issue_width=1),
                     timeline=TimelineRecorder(max_events=1000))
-        assert arch_snapshot(timed) == arch_snapshot(plain)
-        assert timed.cycles == plain.cycles
+        assert_equivalent(plain, timed)
 
 
 class TestProfiler:

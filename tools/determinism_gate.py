@@ -1,48 +1,37 @@
 #!/usr/bin/env python3
-"""CI determinism gate for the checkpoint and cycle-fusion subsystems.
+"""CI determinism gate for the fast paths, checkpoints and sampling.
 
-Three checks over one workload (default dct4x4), exit non-zero on any
-mismatch:
+Runs these sections over one workload (default dct4x4) and exits
+non-zero on any mismatch.  Every run-vs-run check goes through the one
+equivalence rule (``docs/validation.md``): ``repro.fuzz.compare``
+over ``observe`` outcomes (registers, IP, ISA, halt flag, exit code,
+output, memory digest, architectural statistics, trap, same-model
+cycles), plus equal ``save_state()`` when both runs carry a cycle
+model.
 
-1. **Fusion determinism** — run with fused cycle accounting (the
-   default superblock fast path) and again with ``fuse_cycles=False``
-   (per-instruction ``observe``), and require bitwise-identical DOE
-   cycle counts, architectural statistics and slot-drift model state.
-2. **Resume determinism** — run straight to completion, then run again
-   with periodic checkpointing, resume from a mid-run checkpoint, and
-   require bitwise-identical architectural state: registers, memory
-   digest, program output, exit code, the architectural statistics
-   (``SimStats.ARCHITECTURAL_FIELDS``) and — because the resumed run
-   restores the cycle-model state — the exact DOE cycle count.  The
-   straight run is *fused*, so this also gates fusion × checkpointing.
-3. **Shard merge determinism** — run ``repro.framework.parallel`` with
-   N shards and require the merged architectural statistics and output
-   to match the straight run bitwise (cycle counts are approximate by
-   design and are only reported, not gated).
-
-4. **AOT cross-engine determinism** — run each workload in
-   ``--aot-benchmarks`` (default: the main workload; ``all`` = every
-   bundled benchmark) under ``engine="aot"`` — functional and fused
-   DOE — and require bitwise-identical registers, memory digest,
-   output, exit code, architectural statistics and cycle counts
-   against the superblock engine.  On a mismatch the gate reruns the
-   pair in lockstep (:func:`repro.telemetry.run_lockstep`) and prints
-   a forensic report: first divergent PC, register delta and the
-   last-N blocks both engines executed.
-
-5. **Sampled determinism** — run the statistical sampling tier twice
-   with a fixed ``(U, k, W, seed)`` schedule (``--sampling-spec``) and
-   require bitwise-identical measured intervals and estimate, then
-   require the sampled run's architectural end-state (registers,
-   memory digest, output, exit code, architectural statistics) to
-   equal a pure functional run bitwise.
-
+1. **Fusion** — fused DOE accounting (the default superblock fast
+   path) against the per-instruction ``fuse_cycles=False`` path.
+2. **Resume** — a straight fused DOE run against a periodically
+   checkpointed run and against a run resumed from a mid-run
+   checkpoint (the resumed run restores the model state).
+3. **Shard merge** — ``repro.framework.parallel`` with N shards: the
+   merged architectural statistics, output and exit code must equal
+   the straight run's (a merged result has no machine state to
+   observe; cycles are approximate by design and only reported).
+4. **AOT cross-engine** — each workload in ``--aot-benchmarks``
+   (default: the main workload; ``all`` = every bundled benchmark) goes
+   through ``run_differential`` over superblock, aot, superblock/doe
+   and aot/doe to completion.  A divergence is rerun in lockstep
+   (:func:`repro.telemetry.run_lockstep`) and printed as a forensic
+   report: first divergent PC, register delta, both block trails.
+5. **Sampled** — two sampled runs with a fixed ``(U, k, W, seed)``
+   schedule (``--sampling-spec``) must agree with each other, including
+   the measured intervals and the estimate, and with a pure
+   functional run.
 6. **Forensics self-test** (``--forensics-selftest``) — inject a
    register fault mid-run on one lockstep side and require the
    forensics pipeline to localize it: a non-empty report naming the
    first divergent PC, the corrupted register and both block trails.
-   This proves the divergence tooling end-to-end before CI has to
-   trust it on a real mismatch.
 
 ``--perf-smoke`` adds wall-clock checks: with a warm persistent plan
 cache, the fused DOE run must be at least ``--min-speedup`` (default
@@ -68,31 +57,54 @@ sys.path.insert(
 )
 
 from repro.cycles.doe import DoeModel  # noqa: E402
+from repro.framework.config import DEFAULT_MAX_INSTRUCTIONS  # noqa: E402
 from repro.framework.parallel import run_parallel  # noqa: E402
 from repro.framework.pipeline import build_benchmark, run  # noqa: E402
-from repro.snapshot import memory_digest  # noqa: E402
+from repro.fuzz import (  # noqa: E402
+    EngineConfig,
+    compare,
+    observe,
+    run_differential,
+)
 from repro.telemetry import format_forensics, run_lockstep  # noqa: E402
 
 FAILURES = []
 
+#: The AOT section's matrix: the reference superblock engine first.
+AOT_MATRIX = [
+    EngineConfig("superblock"),
+    EngineConfig("aot"),
+    EngineConfig("superblock", "doe"),
+    EngineConfig("aot", "doe"),
+]
 
-def check(label, straight_value, other_value):
-    if straight_value == other_value:
+
+def check(label, diffs):
+    """Record one check; ``diffs`` names what differs (empty = ok)."""
+    if not diffs:
         print(f"  ok: {label}")
-    else:
-        FAILURES.append(label)
-        print(f"  MISMATCH: {label}\n"
-              f"    straight: {straight_value!r}\n"
-              f"    other:    {other_value!r}")
+        return
+    FAILURES.append(label)
+    print(f"  MISMATCH: {label}")
+    for diff in diffs:
+        print(f"    {diff}")
 
 
-def doe_drift_state(model):
-    return {
-        "slot_last_start": list(model.slot_last_start),
-        "fetch_floor": model.fetch_floor,
-        "max_completion": model.max_completion,
-        "reg_write_cycle": list(model.reg_write_cycle),
-    }
+def differs(name, expected, got):
+    return [] if expected == got else [f"{name}: {expected!r} != {got!r}"]
+
+
+def check_equivalent(label, a, b):
+    """Two pipeline runs: ``compare`` their outcomes and model state."""
+    diffs = compare(observe(a.program, a.stats, a.cycle_model),
+                    observe(b.program, b.stats, b.cycle_model))
+    if a.cycle_model is not None and b.cycle_model is not None:
+        state_a = a.cycle_model.save_state()
+        state_b = b.cycle_model.save_state()
+        diffs += [f"model state {key} differs"
+                  for key in sorted(state_a)
+                  if state_a[key] != state_b.get(key)]
+    check(label, diffs)
 
 
 def perf_smoke(built, width, engine, min_speedup):
@@ -127,92 +139,43 @@ def perf_smoke(built, width, engine, min_speedup):
         print("  MISMATCH: fused DOE is not fast enough")
 
 
-def aot_forensics(built, name):
-    """Rerun a mismatching superblock/aot pair in lockstep and report."""
-    print(f"  rerunning {name} in lockstep for forensics ...")
-    report = run_lockstep(
-        built,
-        {"engine": "superblock", "label": "superblock"},
-        {"engine": "aot", "label": "aot"},
-    )
-    if report is None:
-        print("  lockstep rerun agreed to completion (flaky host state?)")
-        return
-    print(format_forensics(report, getattr(built, "debug_info", None)))
-
-
 def aot_cross_engine(name):
-    """aot vs superblock: functional and fused DOE, bitwise."""
+    """superblock vs aot, functional and fused DOE, to completion."""
     built = build_benchmark(name)
-    width = built.issue_width
-    failures_before = len(FAILURES)
-
-    sb = run(built, engine="superblock")
-    via_aot = run(built, engine="aot")
-    binding = via_aot.interpreter.aot
-    bound = f"{binding.entries_bound}/{binding.entries_total}" \
-        if binding is not None else "none"
-    print(f"  {name}: functional aot module bound {bound}, "
-          f"{binding.dispatches if binding else 0} dispatches")
-    check(f"{name} aot functional architectural stats",
-          sb.stats.architectural_dict(),
-          via_aot.stats.architectural_dict())
-    check(f"{name} aot functional registers",
-          list(sb.program.state.regs), list(via_aot.program.state.regs))
-    check(f"{name} aot functional memory digest",
-          memory_digest(sb.program.state.mem),
-          memory_digest(via_aot.program.state.mem))
-    check(f"{name} aot functional output", sb.output, via_aot.output)
-    check(f"{name} aot functional exit code",
-          sb.exit_code, via_aot.exit_code)
-
-    sb_model = DoeModel(issue_width=width)
-    sb_doe = run(built, engine="superblock", cycle_model=sb_model)
-    aot_model = DoeModel(issue_width=width)
-    aot_doe = run(built, engine="aot", cycle_model=aot_model)
-    check(f"{name} aot doe cycles", sb_model.cycles, aot_model.cycles)
-    check(f"{name} aot doe drift state",
-          doe_drift_state(sb_model), doe_drift_state(aot_model))
-    check(f"{name} aot doe architectural stats",
-          sb_doe.stats.architectural_dict(),
-          aot_doe.stats.architectural_dict())
-    check(f"{name} aot doe output", sb_doe.output, aot_doe.output)
-
-    if len(FAILURES) > failures_before:
-        aot_forensics(built, name)
+    result = run_differential(built, AOT_MATRIX,
+                              max_instructions=DEFAULT_MAX_INSTRUCTIONS)
+    check(f"{name} aot vs superblock", [
+        f"[{div.kind}] {div.config.label} vs {div.reference.label}: "
+        f"{div.detail}" for div in result.divergences
+    ])
+    for div in result.divergences:
+        if div.forensics is None:
+            print("  lockstep rerun agreed to completion "
+                  "(flaky host state?)")
+        else:
+            print(format_forensics(div.forensics,
+                                   getattr(built, "debug_info", None)))
 
 
 def sampled_determinism(built, width, spec):
     """Sampling tier: fixed (U,k,W,seed) is bitwise reproducible.
 
-    Two sampled runs must agree on every measured interval and the
-    extrapolated estimate, and the architectural end-state must equal
-    a pure functional run bitwise — the schedule only decides *when*
-    the cycle model watches, never what the program computes.
+    Two sampled runs must agree on every observable, the model state,
+    the measured intervals and the extrapolated estimate, and the
+    sampled run must equal a pure functional run — the schedule only
+    decides *when* the cycle model watches, never what the program
+    computes.
     """
     first = run(built, engine="superblock",
                 cycle_model=DoeModel(issue_width=width), sampling=spec)
     second = run(built, engine="superblock",
                  cycle_model=DoeModel(issue_width=width), sampling=spec)
-    check("sampled intervals reproducible",
-          first.sampling.intervals, second.sampling.intervals)
-    check("sampled estimate reproducible",
-          (first.sampling.cycles_estimated, first.sampling.cycles_ci95),
-          (second.sampling.cycles_estimated, second.sampling.cycles_ci95))
-
+    check_equivalent("sampled run reproducible", first, second)
+    check("sampled intervals and estimate reproducible",
+          differs("sampling", first.sampling.to_doc(),
+                  second.sampling.to_doc()))
     functional = run(built, engine="superblock")
-    check("sampled architectural stats vs functional",
-          functional.stats.architectural_dict(),
-          first.stats.architectural_dict())
-    check("sampled registers vs functional",
-          list(functional.program.state.regs),
-          list(first.program.state.regs))
-    check("sampled memory digest vs functional",
-          memory_digest(functional.program.state.mem),
-          memory_digest(first.program.state.mem))
-    check("sampled output vs functional", functional.output, first.output)
-    check("sampled exit code vs functional",
-          functional.exit_code, first.exit_code)
+    check_equivalent("sampled run vs functional", functional, first)
 
 
 def aot_perf_smoke(name, min_speedup):
@@ -330,31 +293,24 @@ def main(argv=None):
                              "bundled benchmark (default: --workload)")
     args = parser.parse_args(argv)
 
+    FAILURES.clear()
     built = build_benchmark(args.workload)
     width = built.issue_width
 
     print(f"straight run ({args.workload}, {args.engine}, doe, fused) ...")
-    straight_model = DoeModel(issue_width=width)
-    straight = run(built, engine=args.engine, cycle_model=straight_model)
-    straight_arch = straight.stats.architectural_dict()
-    straight_mem = memory_digest(straight.program.state.mem)
+    straight = run(built, engine=args.engine,
+                   cycle_model=DoeModel(issue_width=width))
 
     print("per-instruction reference (fuse_cycles=False) ...")
-    ref_model = DoeModel(issue_width=width)
-    ref = run(built, engine=args.engine, cycle_model=ref_model,
-              fuse_cycles=False)
-    check("fused doe cycles", straight_model.cycles, ref_model.cycles)
-    check("fused architectural stats",
-          straight_arch, ref.stats.architectural_dict())
-    check("fused doe drift state",
-          doe_drift_state(straight_model), doe_drift_state(ref_model))
-    check("fused output", straight.output, ref.output)
+    ref = run(built, engine=args.engine,
+              cycle_model=DoeModel(issue_width=width), fuse_cycles=False)
+    check_equivalent("fused vs per-instruction doe", straight, ref)
 
     print(f"checkpoint + resume (every {args.checkpoint_every}) ...")
     with tempfile.TemporaryDirectory() as directory:
-        part_model = DoeModel(issue_width=width)
         part = run(
-            built, engine=args.engine, cycle_model=part_model,
+            built, engine=args.engine,
+            cycle_model=DoeModel(issue_width=width),
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=directory,
         )
@@ -362,38 +318,27 @@ def main(argv=None):
             print(f"  MISMATCH: no checkpoints written — workload too "
                   f"short for --checkpoint-every {args.checkpoint_every}")
             return 1
-        check("checkpointed run architectural stats",
-              straight_arch, part.stats.architectural_dict())
+        check_equivalent("checkpointed run", straight, part)
         middle = part.checkpoints[len(part.checkpoints) // 2]
         print(f"resuming from {os.path.basename(middle)} ...")
-        resume_model = DoeModel(issue_width=width)
         resumed = run(
-            built, engine=args.engine, cycle_model=resume_model,
-            resume_from=middle,
+            built, engine=args.engine,
+            cycle_model=DoeModel(issue_width=width), resume_from=middle,
         )
-        check("resumed architectural stats",
-              straight_arch, resumed.stats.architectural_dict())
-        check("resumed registers",
-              list(straight.program.state.regs),
-              list(resumed.program.state.regs))
-        check("resumed memory digest",
-              straight_mem, memory_digest(resumed.program.state.mem))
-        check("resumed output", straight.output, resumed.output)
-        check("resumed exit code", straight.exit_code, resumed.exit_code)
-        check("resumed doe cycles", straight_model.cycles,
-              resume_model.cycles)
+        check_equivalent("resumed run", straight, resumed)
 
     print(f"parallel shard merge ({args.shards} shards) ...")
     par = run_parallel(built, shards=args.shards, model="doe",
                        engine=args.engine, workload=args.workload)
-    check("merged architectural stats",
-          straight_arch, par.stats.architectural_dict())
-    check("merged output", straight.output, par.output)
-    check("merged exit code", straight.exit_code, par.exit_code)
-    drift = (abs(par.cycles - straight_model.cycles)
-             / max(straight_model.cycles, 1))
+    check("merged shards", (
+        differs("stats", straight.stats.architectural_dict(),
+                par.stats.architectural_dict())
+        + differs("output", straight.output, par.output)
+        + differs("exit_code", straight.exit_code, par.exit_code)
+    ))
+    drift = abs(par.cycles - straight.cycles) / max(straight.cycles, 1)
     print(f"  info: shard cycle drift {drift * 100:.3f}% "
-          f"({par.cycles} vs {straight_model.cycles}; approximate by "
+          f"({par.cycles} vs {straight.cycles}; approximate by "
           f"design, not gated)")
 
     if args.aot_benchmarks == "all":
