@@ -8,7 +8,7 @@ with their ISA, and cross-ISA calls run through generated thunks that
 switch the format, call, and switch back.
 """
 
-from repro import KAHRISMA, build, run
+from repro import build, run
 from repro.cycles import DoeModel
 
 SOURCE = """\
@@ -45,11 +45,8 @@ int main() {
 
 def simulate(label: str, **build_kwargs) -> None:
     built = build(SOURCE, filename="mixed.kc", **build_kwargs)
-    width = max(
-        KAHRISMA.isa_named(isa).issue_width
-        for isa, _sym in built.compile_result.functions.values()
-    )
-    result = run(built, cycle_model=DoeModel(issue_width=width))
+    result = run(built,
+                 cycle_model=DoeModel(issue_width=built.widest_issue_width))
     print(f"{label:28} output={result.output.strip():>10} "
           f"cycles={result.cycles:>7} "
           f"isa-switches={result.stats.isa_switches}")

@@ -144,19 +144,21 @@ class AieModel(CycleModel):
 class _AieBlockCompiler(BlockCompiler):
     """Emit AIE accounting as flat statements for superblock bodies.
 
-    Superblock bodies contain no control operations (a control op
-    terminates the block) and are single-issue (only direct-eligible
-    plans fuse), so per instruction the observe loop above reduces to:
+    All operations of an instruction — one op or a whole VLIW bundle —
+    issue at one cycle, and control operations only terminate blocks,
+    so per instruction the observe loop above reduces to:
 
-    * non-memory: ``current_cycle += max(1, delay)`` — a translate-time
-      constant, merged across runs of consecutive instructions;
-    * memory: one hierarchy query at the issue cycle, then
-      ``current_cycle = max(issue + 1, completion)``.
+    * no memory operation: ``current_cycle += max(1, delays)`` — a
+      translate-time constant, merged across runs of consecutive
+      instructions;
+    * memory operations: one hierarchy query each, in slot order, at
+      the shared issue cycle, then ``current_cycle`` = the latest of
+      ``issue + max(1, other delays)`` and every access completion.
 
     The generated function receives the model as argument ``m`` and
     re-derives all state from it each call, so plans survive
     ``reset``/``load_state`` and persistent-cache reuse.  Timing
-    locals use a ``_y`` prefix (functional locals use ``_t_``).
+    locals use a ``_y`` prefix (functional locals use ``_t``/``_b``).
     """
 
     def begin(self) -> None:
@@ -174,43 +176,56 @@ class _AieBlockCompiler(BlockCompiler):
             self._pending = 0
 
     def instr(self, dec: DecodedInstruction) -> Optional[List[str]]:
-        op = dec.single
-        if op is None:
-            return None
-        kind = op.kind_code
-        self._n_instr += 1
-        if kind == KIND_NOP:
-            self._pending += 1
-            return []
-        if kind == KIND_LOAD or kind == KIND_STORE:
-            self._n_ops += 1
-            self._mem = True
-            self.uses_regs = True
-            out: List[str] = []
-            self._flush_pending(out)
-            out.append(
-                f"_yx = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                f" & 4294967295, {kind == KIND_STORE}, {op.slot}, _ycc)"
-            )
-            out.append("_ycc = _yx if _yx > _ycc + 1 else _ycc + 1")
-            return out
-        if kind == KIND_CTRL:
+        if any(op.kind_code == KIND_CTRL for op in dec.ops):
             return None  # control ops never appear in bodies; be safe
-        self._n_ops += 1
-        self._pending += max(1, op.delay)
-        return []
+        return self._emit_instr(dec)
 
     def term(self, dec: DecodedInstruction) -> Optional[List[str]]:
         if self.model.branch_model is not None:
             # Mispredictions need the per-instruction observe hook.
             return None
-        op = dec.single
-        if op is None or op.kind_code in (KIND_LOAD, KIND_STORE):
-            return None
+        return self._emit_instr(dec)
+
+    def _emit_instr(self, dec: DecodedInstruction) -> List[str]:
         self._n_instr += 1
-        self._n_ops += 1
-        self._pending += max(1, op.delay)
-        return []
+        advance = 1  # an empty/NOP-only instruction still issues
+        mem_ops = []
+        for op in dec.ops:
+            kind = op.kind_code
+            if kind == KIND_NOP:
+                continue
+            self._n_ops += 1
+            if kind == KIND_LOAD or kind == KIND_STORE:
+                mem_ops.append(op)
+            elif op.delay > advance:
+                advance = op.delay
+        if not mem_ops:
+            self._pending += advance
+            return []
+        self._mem = True
+        self.uses_regs = True
+        out: List[str] = []
+        self._flush_pending(out)
+        temps = []
+        for index, op in enumerate(mem_ops):
+            temp = f"_yx{index}"
+            temps.append(temp)
+            out.append(
+                f"{temp} = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
+                f" & 4294967295, {op.kind_code == KIND_STORE}, "
+                f"{op.slot}, _ycc)"
+            )
+        if len(temps) == 1:
+            out.append(
+                f"_ycc = _yx0 if _yx0 > _ycc + {advance} "
+                f"else _ycc + {advance}"
+            )
+            return out
+        out.append(f"_yn = _ycc + {advance}")
+        for temp in temps:
+            out.append(f"if {temp} > _yn: _yn = {temp}")
+        out.append("_ycc = _yn")
+        return out
 
     def flush(self) -> List[str]:
         out: List[str] = []

@@ -208,14 +208,16 @@ class DoeModel(CycleModel):
 class _DoeBlockCompiler(BlockCompiler):
     """Emit DOE slot-drift accounting as flat superblock statements.
 
-    Fused bodies are single-issue (only direct-eligible plans fuse),
-    so exactly one slot — slot 0 — drifts: its last start cycle lives
-    in the local ``_yst``; consecutive NOP issue bumps fold into the
-    next operation's start constant.  Register-ready cycles are kept
-    in per-register locals ``_yr<n>``: registers read before being
-    written load from ``reg_write_cycle`` in the prologue, registers
-    written in the block store back once in the flush — intermediate
-    list traffic (and dead overwrites) disappears.
+    Each slot drifts on its own: its last start cycle lives in the
+    local ``_ys<slot>``, and NOP issue bumps in a slot fold into that
+    slot's next operation's start constant.  Operations are accounted
+    one by one in slot order, as :meth:`DoeModel.observe` does, so a
+    later slot of a bundle sees an earlier slot's completion.
+    Register-ready cycles are kept in per-register locals ``_yr<n>``:
+    registers read before being written load from ``reg_write_cycle``
+    in the prologue, registers written in the block store back once in
+    the flush — intermediate list traffic (and dead overwrites)
+    disappears.
 
     Two properties of a straight-line body justify folding the
     observe loop's clamps:
@@ -223,66 +225,71 @@ class _DoeBlockCompiler(BlockCompiler):
     * ``fetch_floor`` is loop-invariant (it only moves on a
       mispredicted *control* op, and control ops terminate blocks;
       with a branch model attached the terminator stays on the
-      per-instruction observe path anyway), and slot-0 start cycles
-      strictly increase, so the floor clamp can only fire on the
-      first operation of the block;
-    * NOP issue bumps fold into the next operation's start constant.
+      per-instruction observe path anyway), and each slot's start
+      cycles strictly increase, so the floor clamp can only fire on
+      a slot's first operation of the block;
+    * NOP issue bumps fold into the slot's next start constant.
 
-    All state is re-derived from the model argument ``m`` per call —
-    see :class:`_AieBlockCompiler` for why.
+    An operation in a slot the model does not have (a bundle wider
+    than ``issue_width``) refuses the plan: ``observe`` then raises
+    exactly as it would on any engine.  All state is re-derived from
+    the model argument ``m`` per call — see :class:`_AieBlockCompiler`
+    for why.
     """
 
     def begin(self) -> None:
         self.uses_regs = False
         self._n_instr = 0
         self._n_ops = 0
-        #: Folded slot-0 issue bumps of preceding NOP instructions.
-        self._nop_bias = 0
+        #: Folded issue bumps of preceding NOPs, per slot.
+        self._nop_bias: dict = {}
         self._mem = False
-        self._core = False  # any non-NOP op emitted
+        #: Slots that issued a non-NOP op so far (their ``_ys`` is live).
+        self._core: set = set()
         #: Registers read before any in-block write (prologue loads).
         self._loaded: set = set()
         #: Registers written in the block so far (flush stores).
         self._written: set = set()
 
     def instr(self, dec: DecodedInstruction) -> Optional[List[str]]:
-        op = dec.single
-        if op is None or op.slot != 0:
-            return None
-        kind = op.kind_code
-        if kind == KIND_CTRL:
+        if any(op.kind_code == KIND_CTRL for op in dec.ops):
             return None  # control ops never appear in bodies; be safe
-        self._n_instr += 1
-        if kind == KIND_NOP:
-            if self.model.count_nop_issue:
-                self._nop_bias += 1
-            return []
-        return self._emit_op(op, kind)
+        return self._emit_instr(dec)
 
     def term(self, dec: DecodedInstruction) -> Optional[List[str]]:
         if self.model.branch_model is not None:
             # Mispredictions move the fetch floor and need ``observe``.
             return None
-        op = dec.single
-        if op is None or op.slot != 0:
-            return None
-        kind = op.kind_code
-        if kind == KIND_LOAD or kind == KIND_STORE:
+        return self._emit_instr(dec)
+
+    def _emit_instr(self, dec: DecodedInstruction) -> Optional[List[str]]:
+        width = self.model.issue_width
+        if any(op.slot >= width for op in dec.ops):
             return None
         self._n_instr += 1
-        return self._emit_op(op, kind)
+        out: List[str] = []
+        for op in dec.ops:
+            kind = op.kind_code
+            if kind == KIND_NOP:
+                if self.model.count_nop_issue:
+                    bias = self._nop_bias
+                    bias[op.slot] = bias.get(op.slot, 0) + 1
+                continue
+            self._emit_op(op, kind, out)
+        return out
 
-    def _emit_op(self, op, kind: int) -> List[str]:
+    def _emit_op(self, op, kind: int, out: List[str]) -> None:
         self._n_ops += 1
-        out: List[str] = [f"_yst += {1 + self._nop_bias}"]
-        self._nop_bias = 0
-        if not self._core:
-            out.append("if _yfl > _yst: _yst = _yfl")
-        self._core = True
+        slot = op.slot
+        yst = f"_ys{slot}"
+        out.append(f"{yst} += {1 + self._nop_bias.pop(slot, 0)}")
+        if slot not in self._core:
+            out.append(f"if _yfl > {yst}: {yst} = _yfl")
+            self._core.add(slot)
         for src in dict.fromkeys(op.srcs):
             if src not in self._written:
                 self._loaded.add(src)
-            out.append(f"if _yr{src} > _yst: _yst = _yr{src}")
+            out.append(f"if _yr{src} > {yst}: {yst} = _yr{src}")
         dsts = tuple(dict.fromkeys(op.dsts))
         target = f"_yr{dsts[0]}" if dsts else "_yx"
         if kind == KIND_LOAD or kind == KIND_STORE:
@@ -290,29 +297,31 @@ class _DoeBlockCompiler(BlockCompiler):
             self.uses_regs = True
             out.append(
                 f"{target} = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                f" & 4294967295, {kind == KIND_STORE}, 0, _yst)"
+                f" & 4294967295, {kind == KIND_STORE}, {slot}, {yst})"
             )
         elif op.delay:
-            out.append(f"{target} = _yst + {op.delay}")
+            out.append(f"{target} = {yst} + {op.delay}")
         else:
-            out.append(f"{target} = _yst")
+            out.append(f"{target} = {yst}")
         if dsts:
             self._written.update(dsts)
             for dst in dsts[1:]:
                 out.append(f"_yr{dst} = {target}")
         out.append(f"if {target} > _ymx: _ymx = {target}")
-        return out
 
     def flush(self) -> List[str]:
         out: List[str] = []
+        for slot in sorted(self._core | set(self._nop_bias)):
+            bias = self._nop_bias.get(slot, 0)
+            if slot in self._core:
+                start = f"_ys{slot} + {bias}" if bias else f"_ys{slot}"
+                out.append(f"m.slot_last_start[{slot}] = {start}")
+            else:
+                out.append(f"m.slot_last_start[{slot}] += {bias}")
         if self._core:
-            start = f"_yst + {self._nop_bias}" if self._nop_bias else "_yst"
-            out.append(f"m.slot_last_start[0] = {start}")
             out.append("m.max_completion = _ymx")
             for dst in sorted(self._written):
                 out.append(f"_yrc[{dst}] = _yr{dst}")
-        elif self._nop_bias:
-            out.append(f"m.slot_last_start[0] += {self._nop_bias}")
         if self._n_instr:
             out.append(f"m.instructions += {self._n_instr}")
         if self._n_ops:
@@ -327,7 +336,9 @@ class _DoeBlockCompiler(BlockCompiler):
             out.append("_yrc = m.reg_write_cycle")
         for src in sorted(self._loaded):
             out.append(f"_yr{src} = _yrc[{src}]")
-        out.append("_yst = m.slot_last_start[0]")
+        out.append("_ysl = m.slot_last_start")
+        for slot in sorted(self._core):
+            out.append(f"_ys{slot} = _ysl[{slot}]")
         out.append("_yfl = m.fetch_floor")
         out.append("_ymx = m.max_completion")
         if self._mem:

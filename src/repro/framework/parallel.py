@@ -500,6 +500,9 @@ def run_parallel(
         telemetry["cycles_ci95"] = merged_sampling.cycles_ci95
         telemetry["sampling"] = merged_sampling.block()
     if events is not None:
+        untranslated = "sim.superblock.untranslated_plans"
+        end = {untranslated: telemetry["metrics"][untranslated]} \
+            if untranslated in telemetry["metrics"] else {}
         events.emit(
             "run-end",
             instructions=merged.executed_instructions,
@@ -507,6 +510,7 @@ def run_parallel(
             elapsed_seconds=round(merged.elapsed_seconds, 6),
             mips=round(merged.mips, 3),
             halted=bool(last["halted"]),
+            **end,
         )
     return ParallelResult(
         stats=merged,

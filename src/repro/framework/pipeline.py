@@ -46,6 +46,15 @@ class BuildResult:
     def issue_width(self) -> int:
         return self.arch.isa(self.entry_isa).issue_width
 
+    @property
+    def widest_issue_width(self) -> int:
+        """Issue width of the widest ISA any compiled function uses
+        (the width a DOE model needs for a mixed-ISA build)."""
+        return max(
+            self.arch.isa_named(isa).issue_width
+            for isa, _sym in self.compile_result.functions.values()
+        )
+
 
 @dataclass
 class RunResult:
@@ -397,6 +406,12 @@ def run(
     if events is not None:
         end = {"cycles_estimated": sampled.cycles_estimated} \
             if sampled is not None else {}
+        if interpreter.superblock is not None:
+            end["sim.superblock.untranslated_plans"] = (
+                interpreter.superblock.untranslated_plans(
+                    interpreter.cycle_model
+                )
+            )
         events.emit(
             "run-end",
             instructions=stats.executed_instructions,

@@ -190,12 +190,16 @@ def run_config(
     *,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     inject: Optional[dict] = None,
+    aot_modules: Optional[dict] = None,
 ) -> Outcome:
     """Execute one configuration to halt (or budget) and observe it.
 
     ``inject={"at": N, "reg": idx, "xor": mask}`` splits the run at
     instruction boundary N and corrupts a register — only passed for
-    the configuration the self-test designates as the victim.
+    the configuration the self-test designates as the victim.  An
+    ``aot`` configuration records the module it compiled in
+    ``aot_modules`` (keyed by label) when given, so a lockstep re-run
+    reuses it.
     """
     from ..sim.errors import SimulationError
 
@@ -206,6 +210,8 @@ def run_config(
         from ..sim import aot
 
         aot_module = aot.prepare(built.elf, built.arch, model=model)
+        if aot_modules is not None:
+            aot_modules[config.label] = aot_module
     interp = Interpreter(
         program.state,
         cycle_model=model,
@@ -273,9 +279,10 @@ def _make_model(name: Optional[str]):
     return RunConfig(model=name or "none").make_model(8)
 
 
-def _lockstep_config(config: EngineConfig) -> dict:
+def _lockstep_config(config: EngineConfig, aot_modules: dict) -> dict:
     doc = {"engine": config.engine, "label": config.label,
-           "fuse_cycles": config.fuse_cycles}
+           "fuse_cycles": config.fuse_cycles,
+           "aot_module": aot_modules.get(config.label)}
     if config.model is not None:
         doc["cycle_model"] = _make_model(config.model)
     return doc
@@ -309,11 +316,13 @@ def run_differential(
     configs = list(configs) if configs is not None else default_matrix()
     result = DiffResult()
     outcomes: List[Outcome] = []
+    aot_modules: dict = {}
     for config in configs:
         this_inject = inject if config.label == inject_into else None
         outcomes.append(run_config(
             built, config,
             max_instructions=max_instructions, inject=this_inject,
+            aot_modules=aot_modules,
         ))
     result.outcomes = outcomes
 
@@ -346,8 +355,8 @@ def run_differential(
             try:
                 divergence.forensics = run_lockstep(
                     built,
-                    _lockstep_config(base.config),
-                    _lockstep_config(got.config),
+                    _lockstep_config(base.config, aot_modules),
+                    _lockstep_config(got.config, aot_modules),
                     interval=lockstep_interval,
                     max_instructions=max_instructions,
                     inject=victim_inject,

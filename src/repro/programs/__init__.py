@@ -27,6 +27,18 @@ PROGRAMS = {
     "crc32": "table-driven CRC-32 (IEEE 802.3), zlib-compatible",
 }
 
+#: Per-function ISA maps that ``repro.framework.selection.select_isas``
+#: (defaults) picks for two programs: mixed-ISA builds, VLIW2-8
+#: bundles beside RISC code, that the engine test matrix and the
+#: determinism gate run beside the all-RISC builds.
+PINNED_ISA_MAPS = {
+    "cjpeg": {"fdct8x8": "vliw6", "encode_image": "vliw2",
+              "fill_image": "vliw6", "main": "vliw4"},
+    "dct4x4": {"dct4x4": "vliw8", "main": "vliw4",
+               "dequant_block": "vliw4", "quant_block": "vliw6",
+               "idct4x4": "vliw8"},
+}
+
 
 def program_names() -> Tuple[str, ...]:
     return tuple(PROGRAMS)

@@ -31,7 +31,11 @@ symbol: inlined branch terminators expose their targets as constant
 blocks fall through, and call/return points seed the successor
 worklist.  A short profile-guided functional replay (budgeted, purely
 optional) adds targets static walking cannot see — indirect branches
-and ISA switches.  Entries are bounded to the ``.text`` segment.
+and ISA switches.  Entries are bounded to the ``.text`` segment, and a
+statically derived entry inside another ISA's function symbol
+(``$<isa>$name``) is dropped: decoding one ISA's code under another
+yields only junk plans, which would cost compile time and nothing
+else.  Entries the replay observed are always kept.
 
 The artifact is stored through the persistent plan cache as one
 whole-module entry per variant namespace (``""`` functional, the cycle
@@ -42,13 +46,13 @@ fallback engine reuses the very same translations.
 Correctness contract (the differential suite pins it bitwise):
 
 * **Coverage is partial by design.**  Only plans ending in an inlined
-  branch terminator enter the dense table; everything else — ISA
-  switches, halts, simops, ``jalr rd, rd`` hazards, VLIW general
-  bodies — is *uncovered*, and the interpreter falls back to the
-  interactive superblock engine for exactly one block before
-  re-entering the table.  Inside the table the ISA can never change
-  and the machine can never halt, so the generated loop checks
-  neither.
+  branch terminator (single-issue or a VLIW bundle) enter the dense
+  table; everything else — ISA switches, halts, simops, bundles that
+  store beside their branch — is *uncovered*, and the interpreter
+  falls back to the interactive superblock engine for exactly one
+  block before re-entering the table.  Inside the table the ISA can
+  never change and the machine can never halt, so the generated loop
+  checks neither.
 * **Self-modifying code stays byte-precise.**  Every table entry
   retains its instruction-byte digest; binding verifies digests
   against live memory, registers the covered pages with the memory's
@@ -88,23 +92,23 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from ..binutils.loader import load_executable
-from ..targetgen.behavior_compiler import SIM_GLOBALS, inline_control_stmts
+from ..targetgen.behavior_compiler import SIM_GLOBALS
 from ..targetgen.optable import build_target
 from .decode_cache import DecodeCache
 from .decoder import KIND_STORE
 from .errors import DecodeError
 from .memory import PAGE_SHIFT, Memory
 from .superblock import (
-    PLAN_GENERAL,
     SuperblockPlan,
     _emit_body_lines,
     _partial_stats,
+    inline_terminator,
     plan_digest,
     walk_block,
 )
 
 #: Bump when the generated module layout or loop protocol changes.
-AOT_FORMAT = 2
+AOT_FORMAT = 3
 
 #: Instruction budget of the profile-guided discovery replay (a plain
 #: functional superblock run whose plan table seeds the static walk
@@ -189,17 +193,30 @@ def discover(
     seeds,
     max_len: int,
     bounds: Optional[Tuple[int, int]] = None,
+    functions=(),
+    observed=(),
 ) -> Dict[Tuple[int, int], SuperblockPlan]:
     """CFG-walk every reachable superblock entry point.
 
     ``seeds`` is an iterable of ``(isa_id, ip)`` pairs; ``bounds``
     restricts entries to ``[lo, hi)`` (the ``.text`` segment) so the
-    walk cannot wander into zero-filled pages.  Uses
+    walk cannot wander into zero-filled pages.  ``functions`` holds
+    ``(start, end, isa_id)`` of each function symbol (they do not
+    overlap): an entry inside another ISA's function is dropped unless
+    it is in ``observed`` (entries seen executing).  Uses
     :func:`~repro.sim.superblock.walk_block`, the same block
     delimitation the interactive engine applies, so both tiers carve
     identical plans.
     """
     plans: Dict[Tuple[int, int], SuperblockPlan] = {}
+    functions = sorted(functions)
+    starts = [start for start, _end, _isa in functions]
+    observed = set(observed)
+
+    def foreign(isa_id: int, ip: int) -> bool:
+        i = bisect_right(starts, ip) - 1
+        return i >= 0 and ip < functions[i][1] and functions[i][2] != isa_id
+
     work = list(seeds)
     while work:
         isa_id, ip = work.pop()
@@ -207,6 +224,8 @@ def discover(
         if key in plans:
             continue
         if bounds is not None and not (bounds[0] <= ip < bounds[1]):
+            continue
+        if key not in observed and foreign(isa_id, ip):
             continue
         try:
             decs, terminated = walk_block(cache, mem, isa_id, ip, max_len)
@@ -218,15 +237,10 @@ def discover(
             # Capped or truncated: control falls through.
             work.append((isa_id, plan.end_ip))
             continue
-        term = plan.term_dec
-        if term.single is not None:
-            inlined = inline_control_stmts(
-                term.single.entry.op, term.single.vals,
-                plan.term_ip, plan.term_next_ip,
-            )
-            if inlined is not None:
-                for target in _static_successors(inlined[0]):
-                    work.append((isa_id, target))
+        inlined = inline_terminator(plan.term_dec)
+        if inlined is not None:
+            for target in _static_successors(inlined[0]):
+                work.append((isa_id, target))
         # The terminator's fall-through: branch not-taken, a call's
         # return point, the word after a switch thunk.  Dead seeds are
         # filtered by the DecodeError guard above and cost nothing.
@@ -242,7 +256,7 @@ def _plan_pieces(plan: SuperblockPlan, fuser) -> Optional[dict]:
 
     Runs the very same primitives :meth:`SuperblockPlan.translate`
     composes (:func:`~repro.sim.superblock._emit_body_lines`,
-    :func:`~repro.targetgen.behavior_compiler.inline_control_stmts`,
+    :func:`~repro.sim.superblock.inline_terminator`,
     the block compiler's begin/instr/term/flush/prologue protocol) but
     keeps the body and terminator statement lists separate so the
     trace emitter can splice per-block bookkeeping between them.
@@ -250,12 +264,9 @@ def _plan_pieces(plan: SuperblockPlan, fuser) -> Optional[dict]:
     enter a trace.
     """
     term = plan.term_dec
-    if term is None or term.single is None:
+    if term is None:
         return None
-    inlined = inline_control_stmts(
-        term.single.entry.op, term.single.vals,
-        plan.term_ip, plan.term_next_ip,
-    )
+    inlined = inline_terminator(term)
     if inlined is None:
         return None
     body_decs = plan.decs[:-1]
@@ -780,103 +791,110 @@ class _InlineLoad4(ast.NodeTransformer):
         return node
 
 
-class _PromoteRegs(ast.NodeTransformer):
-    def visit_Subscript(self, node: ast.Subscript):
-        self.generic_visit(node)
-        if (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "regs"
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            return ast.Name(id=f"_r{node.slice.value}", ctx=node.ctx)
-        return node
+#: A constant-indexed register-file access, and any use of ``regs``.
+_REG_SUBSCRIPT_RE = re.compile(r"\bregs\[(\d+)\]")
+_REGS_RE = re.compile(r"\bregs\b")
+_REG_STORE_RE = re.compile(r"^\s*regs\[(\d+)\] = ")
+_RETURN_LINE_RE = re.compile(r"^(\s*)return\b")
+_BIND_REGS = "regs = state.regs"
 
 
-def _promote_registers(fn: ast.FunctionDef, always: bool) -> None:
+def _promote_registers(lines: List[str], always: bool) -> List[str]:
     """Promote ``regs[const]`` to locals in one generated function.
 
-    ``always`` forces promotion for trace functions (their loops
-    amortise the entry loads); plain block functions are promoted only
-    when the static access count beats the load/write-back overhead.
+    Works on the source lines (every generated statement is one line,
+    and the line pass below leaves no return inside a one-line
+    compound statement).  ``always`` forces promotion for trace
+    functions (their loops amortise the entry loads); plain block
+    functions are promoted only when the static access count beats
+    the load/write-back overhead.
     """
-    accounted = set()
+    bind_at = None
     used: Dict[int, int] = {}
     written = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "regs"
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            accounted.add(id(node.value))
-            index = node.slice.value
-            used[index] = used.get(index, 0) + 1
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                written.add(index)
-    bind_at = None
-    for i, stmt in enumerate(fn.body):
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "regs"
-        ):
+    for i, line in enumerate(lines):
+        if bind_at is None and line.strip() == _BIND_REGS:
             bind_at = i
-            accounted.add(id(stmt.targets[0]))
-            break
+            continue
+        subs = _REG_SUBSCRIPT_RE.findall(line)
+        if len(subs) != len(_REGS_RE.findall(line)):
+            return lines  # regs escapes the constant-subscript pattern
+        for k in subs:
+            used[int(k)] = used.get(int(k), 0) + 1
+        match = _REG_STORE_RE.match(line)
+        if match is not None:
+            written.add(int(match.group(1)))
     if bind_at is None or not used:
-        return
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == "regs"
-            and id(node) not in accounted
-        ):
-            return  # regs escapes the constant-subscript pattern
+        return lines
     if not always and sum(used.values()) < len(used) + len(written) + 2:
-        return
-    _PromoteRegs().visit(fn)
-    inits = [
-        ast.parse(f"_r{k} = regs[{k}]").body[0] for k in sorted(used)
-    ]
-    fn.body[bind_at + 1:bind_at + 1] = inits
-    if not written:
-        return
-    write_back = [f"regs[{k}] = _r{k}" for k in sorted(written)]
-
-    def rewrite(body):
-        out = []
-        for stmt in body:
-            for field in ("body", "orelse", "finalbody"):
-                sub = getattr(stmt, field, None)
-                if sub:
-                    setattr(stmt, field, rewrite(sub))
-            if isinstance(stmt, ast.Return):
-                out.extend(ast.parse(s).body[0] for s in write_back)
-            out.append(stmt)
-        return out
-
-    fn.body = rewrite(fn.body)
+        return lines
+    indent = lines[bind_at][:len(lines[bind_at]) - len(_BIND_REGS)]
+    out = lines[:bind_at + 1]
+    out.extend(f"{indent}_r{k} = regs[{k}]" for k in sorted(used))
+    for line in lines[bind_at + 1:]:
+        line = _REG_SUBSCRIPT_RE.sub(r"_r\1", line)
+        match = _RETURN_LINE_RE.match(line)
+        if match is not None:
+            out.extend(
+                f"{match.group(1)}regs[{k}] = _r{k}" for k in sorted(written)
+            )
+        out.append(line)
+    return out
 
 
-#: Optimised-source memo, keyed by input digest.  The AST passes are
-#: the dominant cost of a whole-module compile, and identical inputs
-#: recur heavily — fused timing statements bake no memory-hierarchy
-#: parameters (accesses go through the bound model at run time), so
-#: two hierarchy configurations translate every plan to byte-identical
-#: source, and shared library blocks repeat across programs.
-_OPTIMIZE_MEMO: Dict[Tuple[bytes, bool], str] = {}
+_HEADER_KEYWORDS = ("if ", "elif ", "while ")
 
 
-def _optimize_source(source: str, *, always_promote: bool = False) -> str:
+def _optimize_line(text: str, memo: dict) -> Tuple[Tuple[str, ...], bool]:
+    """Run the expression passes over one unindented statement line.
+
+    Returns ``(lines, whether an ld4 was open-coded)``, memoised in
+    ``memo``: the same instruction's statements recur in every trace
+    that inlines its block, so one compile rewrites each line once.
+    """
+    memoised = memo.get(text)
+    if memoised is not None:
+        return memoised
+    loads = _InlineLoad4()
+    result: Tuple[Tuple[str, ...], bool] = ((text,), False)
+    try:
+        keyword = next(
+            (k for k in _HEADER_KEYWORDS
+             if text.startswith(k) and text.endswith(":")),
+            None,
+        )
+        if keyword is not None:
+            # A compound-statement header: rewrite its expression.
+            tree = ast.parse(text[len(keyword):-1], mode="eval")
+        elif text.endswith(":"):
+            tree = None  # else:
+        else:
+            tree = ast.parse(text)
+        if tree is not None:
+            for visitor in (_RingMask(), _SignedCompare(), _InlineSext(),
+                            loads):
+                tree = visitor.visit(tree)
+            body = ast.unparse(tree)
+            if keyword is not None:
+                body = f"{keyword}{body}:"
+            result = (tuple(body.split("\n")), bool(loads.count))
+    except (SyntaxError, ValueError, RecursionError):
+        pass
+    memo[text] = result
+    return result
+
+
+def _optimize_source(
+    source: str, *, always_promote: bool = False,
+    line_memo: Optional[dict] = None,
+) -> str:
     """Run the AOT optimisation pass over one generated function.
 
-    Exact-semantics transforms only (see the section comment above);
-    any parse or unparse failure returns the source untouched — the
-    pass is an accelerator, never load-bearing.
+    Exact-semantics transforms only (see the section comment above):
+    the expression passes statement by statement (memoised per line in
+    ``line_memo``, one compile's), then register promotion over the
+    whole function.  A statement the passes cannot parse stays
+    untouched — the pass is an accelerator, never load-bearing.
     """
     memo_key = (
         hashlib.sha256(source.encode("utf-8")).digest(), always_promote
@@ -884,26 +902,35 @@ def _optimize_source(source: str, *, always_promote: bool = False) -> str:
     memoised = _OPTIMIZE_MEMO.get(memo_key)
     if memoised is not None:
         return memoised
-    try:
-        tree = ast.parse(source)
-        fn = tree.body[0]
-        if not isinstance(fn, ast.FunctionDef):
-            return source
-        _RingMask().visit(fn)
-        _SignedCompare().visit(fn)
-        _InlineSext().visit(fn)
-        loads = _InlineLoad4()
-        loads.visit(fn)
-        if loads.count:
-            fn.body.insert(0, ast.parse("_zg = state.mem._views.get").body[0])
-        _promote_registers(fn, always_promote)
-        # No fix_missing_locations: ast.unparse is purely structural,
-        # and the caller compiles the unparsed text, never this tree.
-        result = ast.unparse(tree)
-    except (SyntaxError, ValueError, RecursionError):
-        return source
+    if line_memo is None:
+        line_memo = {}
+    lines = source.split("\n")
+    out = [lines[0]]
+    open_coded = False
+    for line in lines[1:]:
+        text = line.lstrip(" ")
+        indent = line[:len(line) - len(text)]
+        rewritten, loads = _optimize_line(text, line_memo)
+        open_coded = open_coded or loads
+        out.extend(indent + piece for piece in rewritten)
+    if open_coded:
+        out.insert(1, "    _zg = state.mem._views.get")
+    result = "\n".join(_promote_registers(out, always_promote))
+    if len(_OPTIMIZE_MEMO) >= _OPTIMIZE_MEMO_CAP:
+        del _OPTIMIZE_MEMO[next(iter(_OPTIMIZE_MEMO))]  # the oldest
     _OPTIMIZE_MEMO[memo_key] = result
     return result
+
+
+#: Optimised-source memo, keyed by input digest.  Identical inputs
+#: recur heavily — fused timing statements bake no memory-hierarchy
+#: parameters (accesses go through the bound model at run time), so
+#: two hierarchy configurations translate every plan to byte-identical
+#: source, and shared library blocks repeat across programs.  Bounded,
+#: oldest first out, so a long-lived process (a fuzz campaign, a serve
+#: worker) compiling program after program does not grow without end.
+_OPTIMIZE_MEMO: Dict[Tuple[bytes, bool], str] = {}
+_OPTIMIZE_MEMO_CAP = 2048
 
 
 # -- module emission --------------------------------------------------------
@@ -958,9 +985,11 @@ def _emit_module(
             ]
         )
     )
-    source = "\n\n".join(parts) + "\n"
-    code = compile(source, f"<aot:{namespace or 'functional'}>", "exec")
-    return source, code
+    # One code object per function: compiling the whole module at once
+    # holds the compiler's tree of every function at the same time.
+    filename = f"<aot:{namespace or 'functional'}>"
+    code = tuple(compile(part, filename, "exec") for part in parts[2:])
+    return "\n\n".join(parts) + "\n", code
 
 
 class AotModule:
@@ -978,6 +1007,7 @@ class AotModule:
         self.namespace = namespace
         self.fused = fused
         self.source = source
+        #: Code objects (one per generated function) executed in order.
         self.code = code
         #: Per-entry metadata: ``isa``, ``ip``, ``span``, ``digest``,
         #: ``fn``, ``stats`` (n_instr, n_slots, n_exec, n_mem_instr,
@@ -994,7 +1024,8 @@ class AotModule:
         #: abort-prefix stats merged, collision-free by construction).
         self.traces = traces
         module_ns: Dict[str, object] = dict(SIM_GLOBALS)
-        exec(code, module_ns)
+        for piece in code:
+            exec(piece, module_ns)
         self._loop = module_ns["_aot_loop"]
         self._fns = [module_ns[e["fn"]] for e in entries]
         self._trace_fns = [module_ns[t["fn"]] for t in traces]
@@ -1035,9 +1066,9 @@ class AotModule:
                 code = marshal.loads(raw)
             except (ValueError, EOFError, TypeError):
                 code = None
-        if code is None:
+        if not isinstance(code, tuple):
             try:
-                code = compile(source, "<aot:cached>", "exec")
+                code = (compile(source, "<aot:cached>", "exec"),)
             except SyntaxError:
                 return None
         try:
@@ -1326,14 +1357,19 @@ def compile_module(
     )
     seeds = [(elf.flags, elf.entry)]
     isa_ids = {isa.name: isa.ident for isa in arch.isas}
+    functions = []
     for sym in elf.symbols:
         name = sym.name
         if sym.size and name.startswith("$"):
             isa_name, _, rest = name[1:].partition("$")
             if rest and isa_name in isa_ids:
                 seeds.append((isa_ids[isa_name], sym.value))
+                functions.append(
+                    (sym.value, sym.value + sym.size, isa_ids[isa_name])
+                )
 
     profile_instructions = 0
+    observed: List[Tuple[int, int]] = []
     if profile_budget:
         # Profile-guided augmentation: a budgeted functional replay;
         # every plan the interactive engine builds — indirect targets,
@@ -1345,9 +1381,10 @@ def compile_module(
         )
         stats = interp.run(max_instructions=profile_budget)
         profile_instructions = stats.executed_instructions
-        seeds.extend(interp.superblock.plans.keys())
+        observed = list(interp.superblock.plans.keys())
+        seeds.extend(observed)
 
-    plans = discover(cache, mem, seeds, max_len, bounds)
+    plans = discover(cache, mem, seeds, max_len, bounds, functions, observed)
 
     # Translate every plan through the engine's own emission path.
     per_entry: Dict[Tuple[int, int], Tuple[SuperblockPlan, dict]] = {}
@@ -1357,8 +1394,6 @@ def compile_module(
     for key in sorted(plans):
         plan = plans[key]
         total_instr += plan.n_instr
-        if plan.kind == PLAN_GENERAL:
-            continue
         plan.code_digest = plan_digest(mem, plan.span)
         if fuser is not None:
             variants = plan.translate(timing=fuser)
@@ -1376,6 +1411,7 @@ def compile_module(
     index_of: Dict[Tuple[int, int], int] = {}
     prefixes: Dict[Tuple[int, int], Optional[dict]] = {}
     block_sources: List[str] = []
+    line_memo: dict = {}
     for key in covered_keys:
         plan = plans[key]
         prefix = None
@@ -1390,7 +1426,8 @@ def compile_module(
         prefixes[key] = prefix
         block_sources.append(
             _optimize_source(
-                sources[key].replace("_superblock_body", f"_f{index}", 1)
+                sources[key].replace("_superblock_body", f"_f{index}", 1),
+                line_memo=line_memo,
             )
         )
         entries.append(
@@ -1429,6 +1466,7 @@ def compile_module(
                     )
                 ),
                 always_promote=True,
+                line_memo=line_memo,
             )
         )
         merged: Dict[str, List[int]] = {}

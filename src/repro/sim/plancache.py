@@ -76,7 +76,7 @@ except ImportError:  # non-POSIX: O_EXCL spin-lock fallback
 
 #: Bump when the on-disk layout or the generated-function calling
 #: convention changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Longest a writer waits for the sidecar lock before degrading to an
 #: unlocked (merge-and-hope) write.  Generous: the critical section is

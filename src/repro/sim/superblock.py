@@ -21,12 +21,15 @@ run into a :class:`SuperblockPlan`:
 * precomputed block-total statistics deltas, accumulated once per block
   instead of once per instruction.
 
-Plans come in three kinds.  When every body instruction is single-issue
-and has a *direct* simulation variant (see
-:mod:`repro.targetgen.behavior_compiler`), the body runs commit-free:
-each row is one Python call that writes architectural state in place.
-Otherwise the body runs buffered rows (VLIW bundles keep their
-read-before-write semantics).  Blocks are *chained* through their
+While a plan is cold its body runs as a loop over rows, of three
+kinds.  When every body instruction is single-issue and has a *direct*
+simulation variant (see :mod:`repro.targetgen.behavior_compiler`), the
+rows run commit-free: each is one Python call that writes
+architectural state in place.  Otherwise the rows are buffered (VLIW
+bundles keep their read-before-write semantics).  Once hot, every plan
+— single-issue or VLIW — is translated into one flat function: a
+multi-operation bundle computes all its operations into locals and
+commits after the last one.  Blocks are *chained* through their
 observed successor — the block-level analogue of the paper's 1-bit
 instruction prediction — so the steady state executes without even a
 per-block hash lookup.
@@ -39,11 +42,13 @@ their accounting *fused* into the translated plan: the compiler emits
 flat timing statements that the translator interleaves before each
 instruction's functional statements — reproducing the pre-commit
 register view of buffered per-instruction observation, with latencies
-constant-folded at translate time — so fused counts are
-bitwise-identical to the per-instruction path.  Everything else (and
-any configuration the fused path cannot prove safe: per-op timelines,
-profiler-wrapped models, VLIW bodies, branch-model terminators) falls
-back to per-instruction ``observe`` on buffered rows.
+constant-folded at translate time and a bundle's operations accounted
+per slot in slot order — so fused counts are bitwise-identical to the
+per-instruction path.  Everything else (and any configuration the
+fused path cannot prove safe: per-op timelines, profiler-wrapped
+models, a DOE model narrower than the code's bundles, branch-model
+terminators) falls back to per-instruction ``observe`` on buffered
+rows.
 
 Hot plans can also be *persisted*: when a :class:`~repro.sim.plancache.
 PlanCache` is attached, translated sources/code objects are recorded
@@ -66,7 +71,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..targetgen.behavior_compiler import (
     SIM_GLOBALS,
-    inline_control_stmts,
+    InlinedStmts,
+    inline_bundle_stmts,
     inline_direct_stmts,
 )
 from .decode_cache import DecodeCache
@@ -79,14 +85,15 @@ from .state import ProcessorState
 #: plans (bounds build latency and invalidation granularity).
 MAX_BLOCK_LEN = 64
 
-#: A direct-eligible plan is translated into one flat Python function
+#: A plan is translated into one flat Python function
 #: on its Nth execution.  Translating costs an emission + ``compile``
 #: pass (~0.3 ms), so cold blocks — init code, error paths — stay on
 #: the cheap per-row call loop and never pay it.
 HOT_THRESHOLD = 4
 
-#: Plan kinds: commit-free body without stores, commit-free body with
-#: stores (needs the invalidation check), buffered body.
+#: Row kinds of a cold plan: commit-free rows without stores,
+#: commit-free rows with stores (need the invalidation check), buffered
+#: rows (VLIW bundles).  Every kind is translated once hot.
 PLAN_DIRECT = 0
 PLAN_DIRECT_MEM = 1
 PLAN_GENERAL = 2
@@ -296,8 +303,6 @@ class SuperblockPlan:
         for the engine's persistent plan cache.
         """
         variants: Dict[str, Tuple[str, object]] = {}
-        if self.kind == PLAN_GENERAL:
-            return variants
         body_decs = (
             self.decs[:-1] if self.term_dec is not None else self.decs
         )
@@ -306,7 +311,7 @@ class SuperblockPlan:
         )
         term = self.term_dec
         if timing is not None:
-            if term is not None and term.single is not None:
+            if term is not None:
                 fused = _translate_fused_plan(
                     body_decs, body_has_store, term,
                     self.isa_id, self.entry_ip, timing,
@@ -323,7 +328,7 @@ class SuperblockPlan:
                 self.fused_body_fn, source, code = fused
                 variants["fused_body"] = (source, code)
             return variants
-        if term is not None and term.single is not None:
+        if term is not None:
             full = _translate_plan(
                 body_decs, body_has_store, term,
                 self.isa_id, self.entry_ip,
@@ -362,6 +367,48 @@ class SuperblockPlan:
         )
 
 
+def _exec_ops(dec: DecodedInstruction):
+    return [op for op in dec.ops if op.kind_code != KIND_NOP]
+
+
+def _inline_instr(dec: DecodedInstruction) -> Optional[InlinedStmts]:
+    """Straight-line statements of one non-control instruction.
+
+    A lone operation with a direct variant inlines as direct writes;
+    anything else — a multi-operation bundle — in bundle mode, which
+    commits after every operation computed.  None when the instruction
+    cannot be inlined.
+    """
+    ops = _exec_ops(dec)
+    if len(ops) == 1 and ops[0].direct_fn is not None:
+        op = ops[0]
+        return inline_direct_stmts(
+            op.entry.op, op.vals, dec.addr, dec.addr + dec.size
+        )
+    return inline_bundle_stmts(
+        [(op.entry.op, op.vals) for op in ops],
+        dec.addr, dec.addr + dec.size,
+    )
+
+
+def inline_terminator(term: DecodedInstruction) -> Optional[InlinedStmts]:
+    """Statements of a branch terminator; every path returns the next IP.
+
+    The instruction inlines in bundle mode, a lone branch included: the
+    return paths follow the instruction's commit.  None — the
+    terminator stays buffered — for a switch, simop or halt, and for
+    an instruction that stores: a store there could rewrite code after
+    the block's last abort point.
+    """
+    inlined = inline_bundle_stmts(
+        [(op.entry.op, op.vals) for op in _exec_ops(term)],
+        term.addr, term.addr + term.size,
+    )
+    if inlined is None or inlined[3]:
+        return None
+    return inlined
+
+
 def _emit_body_lines(
     body_decs: Tuple[DecodedInstruction, ...],
     has_store: bool,
@@ -388,9 +435,6 @@ def _emit_body_lines(
     loads: set = set()
     stores: set = set()
     for d in body_decs:
-        single = d.single
-        if single is None:
-            return None
         if timing is not None:
             t_stmts = timing.instr(d)
             if t_stmts is None:
@@ -399,17 +443,15 @@ def _emit_body_lines(
                 lines.append("    " + stmt)
         if d.n_exec == 0:
             continue
-        try:
-            stmts, i_regs, i_loads, i_stores = inline_direct_stmts(
-                single.entry.op, single.vals, d.addr, d.addr + d.size
-            )
-        except Exception:
+        inlined = _inline_instr(d)
+        if inlined is None:
             return None  # fall back to the per-row call loop
+        stmts, i_regs, i_loads, i_stores = inlined
         lines.extend(stmts)
         uses_regs = uses_regs or i_regs
         loads |= i_loads
         stores |= i_stores
-        if has_store and single.kind_code == KIND_STORE:
+        if has_store and i_stores:
             stop = d.addr + d.size
             lines.append("    if inv[0]:")
             if timing is not None:
@@ -460,7 +502,7 @@ def _translate_body(
     isa_id: int,
     entry_ip: int,
 ) -> Optional[Tuple[Callable, str, object]]:
-    """Compile a direct-eligible body into one flat Python function.
+    """Compile a plan body into one flat Python function.
 
     The generated function executes every body instruction as inlined
     straight-line statements (no per-instruction calls, dispatch or
@@ -487,15 +529,11 @@ def _translate_plan(
 
     Every path returns the next IP directly (branch targets and the
     fall-through are literals folded at translation time); an abort
-    returns ``~stop_ip``.  Only plain control transfers whose
-    per-instance read-after-write check passes are inlined — ``jalr``
-    with ``rd == rs1``, switches, simops and halts keep the buffered
-    terminator path.
+    returns ``~stop_ip``.  Only terminators :func:`inline_terminator`
+    accepts are inlined — switches, simops, halts and storing bundles
+    keep the buffered terminator path.
     """
-    single = term.single
-    inlined = inline_control_stmts(
-        single.entry.op, single.vals, term.addr, term.addr + term.size
-    )
+    inlined = inline_terminator(term)
     if inlined is None:
         return None
     emitted = _emit_body_lines(body_decs, has_store, invert_abort=True)
@@ -552,16 +590,12 @@ def _translate_fused_plan(
     """Fused analogue of :func:`_translate_plan` (body + terminator).
 
     The terminator's timing statements run before its functional
-    statements (which only *read* registers — ``inline_control_stmts``
-    admits plain branches alone), and the model flush precedes every
-    return path.  ``timing.term`` may refuse — e.g. when a branch
-    model needs the per-instruction misprediction hook — pushing the
-    plan down to :func:`_translate_fused_body`.
+    statements, and the model flush precedes them all, so it covers
+    every return path.  ``timing.term`` may refuse — e.g. when a
+    branch model needs the per-instruction misprediction hook —
+    pushing the plan down to :func:`_translate_fused_body`.
     """
-    single = term.single
-    inlined = inline_control_stmts(
-        single.entry.op, single.vals, term.addr, term.addr + term.size
-    )
+    inlined = inline_terminator(term)
     if inlined is None:
         return None
     timing.begin()
@@ -642,11 +676,7 @@ class SuperblockEngine:
         )
         plan = SuperblockPlan(isa_id, entry_ip, decs, terminated)
         pcache = self.plan_cache
-        if (
-            pcache is not None
-            and self.cache_namespace is not None
-            and plan.kind != PLAN_GENERAL
-        ):
+        if pcache is not None and self.cache_namespace is not None:
             plan.code_digest = plan_digest(mem, plan.span)
             hit = pcache.lookup(
                 isa_id, entry_ip, self.cache_namespace, plan.code_digest
@@ -697,6 +727,26 @@ class SuperblockEngine:
                 plan.isa_id, plan.entry_ip, plan.span,
                 plan.code_digest, self.cache_namespace, variants,
             )
+
+    def untranslated_plans(self, model) -> int:
+        """Hot plans with no translated variant for ``model``.
+
+        ``model`` is the run's cycle model (None: functional).  Such a
+        plan runs its row loop (or per-instruction ``observe``) on
+        every execution; a configuration that never translates (a
+        model observing per instruction) reports all its hot plans.
+        """
+        if self.fuser is not None and model is not None:
+            names = ("fused_full_fn", "fused_body_fn")
+        elif model is None or getattr(model, "observe_block", None):
+            names = ("full_fn", "body_fn")
+        else:
+            names = ()
+        return sum(
+            1 for plan in self.plans.values()
+            if plan.exec_count >= HOT_THRESHOLD
+            and not any(getattr(plan, name) for name in names)
+        )
 
     # -- invalidation ------------------------------------------------------
 
@@ -799,7 +849,7 @@ class SuperblockEngine:
             blocks += 1
             aborted = False
             n = plan.exec_count
-            if n < HOT_THRESHOLD and plan.kind != PLAN_GENERAL:
+            if n < HOT_THRESHOLD:
                 plan.exec_count = n + 1
                 if n + 1 == HOT_THRESHOLD:
                     self._hot_translate(plan, model, observe_block)

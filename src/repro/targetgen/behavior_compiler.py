@@ -34,6 +34,14 @@ source-order) analysis; control-flow operations are never eligible.
 Inside a superblock's straight-line body, calling the direct variant is
 observably identical to buffer-then-commit, and roughly halves the
 per-operation Python work.
+
+A third lowering, *bundle* mode (:func:`inline_bundle_stmts`), inlines
+a whole multi-operation VLIW instruction: every write another
+operation of the bundle could observe goes to a bundle-local
+temporary, committed only after all operations computed — the
+interpreter's read-before-write commit, without buffers and without
+per-operation eligibility (an operation needs no direct variant to be
+inlined in a bundle).
 """
 
 from __future__ import annotations
@@ -103,6 +111,14 @@ class _Emitter:
     text, used when inlining an op instance into a superblock body;
     ``local_prefix`` keeps behaviour-local variables of different
     inlined instructions from colliding.
+
+    ``bundle`` (a :class:`_Bundle`) selects bundle mode: a W/S a later
+    operation could observe lowers to bundle-local temporaries that the
+    bundle commits after every operation computed.  With
+    ``bundle_tail`` the emitter lowers the
+    control part of a bundle's branch, which runs after that commit:
+    register reads of registers the bundle writes come from the
+    pre-commit snapshots the bundle takes.
     """
 
     def __init__(
@@ -112,11 +128,15 @@ class _Emitter:
         direct: bool = False,
         subst: Optional[Dict[str, str]] = None,
         local_prefix: str = "",
+        bundle: Optional["_Bundle"] = None,
+        bundle_tail: bool = False,
     ) -> None:
         self.op = op
         self.direct = direct
         self.subst = subst
         self.local_prefix = local_prefix
+        self.bundle = bundle
+        self.bundle_tail = bundle_tail
         self.field_names = {f.name for f in op.value_fields}
         self.locals: set = set()
         self.uses_regs = False
@@ -171,6 +191,8 @@ class _Emitter:
         args = [self.expr(a) for a in node.args]
         if name == "R":
             self.uses_regs = True
+            if self.bundle_tail and args[0] in self.bundle.written:
+                return self.bundle.snapshot(args[0])
             return f"regs[{args[0]}]"
         if name in _LOADS:
             self.uses_loads.add(name)
@@ -213,6 +235,9 @@ class _Emitter:
     def _call_stmt(self, node: ast.Call, indent: str, out: List[str]) -> None:
         name = node.func.id
         args = [self.expr(a) for a in node.args]
+        if self.bundle is not None and name not in ("BR", "JABS"):
+            self._bundle_stmt(name, node, args, indent, out)
+            return
         if name == "W":
             if self.direct:
                 # Immediate write; the guard keeps r0 hard-wired to 0
@@ -257,6 +282,61 @@ class _Emitter:
         else:
             # A value intrinsic used for its side effect — emit as-is.
             out.append(f"{indent}{self._call_expr(node)}")
+
+    def _bundle_stmt(
+        self, name: str, node: ast.Call, args: List[str], indent: str,
+        out: List[str],
+    ) -> None:
+        """Bundle mode: a W/S whose effect a later operation of the
+        bundle could observe computes into temporaries that the bundle
+        commits after its last operation; any other writes in place."""
+        bundle = self.bundle
+        if name == "W" or name in _STORE_SIZES:
+            if self.bundle_tail or indent != bundle.indent:
+                # A write the commit could not order statically (under
+                # a condition, or after the control transfer).
+                raise BehaviorError(
+                    f"operation {self.op.name!r}: conditional {name}() "
+                    "cannot be bundled"
+                )
+            if name == "W":
+                reg = args[0]
+                if not reg.isdigit():
+                    raise BehaviorError(
+                        f"operation {self.op.name!r}: computed register "
+                        "write cannot be bundled"
+                    )
+                if reg == "0":
+                    return
+                self.uses_regs = True
+                bundle.written.add(reg)
+                if bundle.later_reads is None or reg in bundle.later_reads \
+                        or reg in bundle.deferred:
+                    temp = bundle.temp()
+                    out.append(f"{indent}{temp} = ({args[1]}) & {MASK32}")
+                    bundle.writes.append((reg, temp))
+                    bundle.deferred.add(reg)
+                else:
+                    out.append(
+                        f"{indent}regs[{reg}] = ({args[1]}) & {MASK32}"
+                    )
+                return
+            size = _STORE_SIZES[name]
+            self.uses_stores.add(size)
+            if bundle.later_loads or bundle.stores:
+                addr, value = bundle.temp(), bundle.temp()
+                out.append(f"{indent}{addr} = {args[0]}")
+                out.append(f"{indent}{value} = {args[1]}")
+                bundle.stores.append((size, addr, value))
+            else:
+                out.append(f"{indent}st{size}({args[0]}, {args[1]})")
+            return
+        if name in ("SWITCH", "SIM", "HALT"):
+            # Machine-state side effects mid-bundle: buffered only.
+            raise BehaviorError(
+                f"operation {self.op.name!r}: {name}() cannot be bundled"
+            )
+        out.append(f"{indent}{self._call_expr(node)}")
 
 
 _BINOPS = {
@@ -427,13 +507,7 @@ def inline_direct_stmts(
     ``IP``/``NIP``, whose literals differ per address.
     """
     op_key = (op.name, op.behavior)
-    uses_ip = _USES_IP.get(op_key)
-    if uses_ip is None:
-        uses_ip = any(
-            isinstance(node, ast.Name) and node.id in ("IP", "NIP")
-            for node in ast.walk(_parse_cached(op))
-        )
-        _USES_IP[op_key] = uses_ip
+    uses_ip = _uses_ip(op)
     if not uses_ip:
         key = (op_key, values, indent)
         cached = _INLINE_CACHE.get(key)
@@ -461,6 +535,43 @@ def inline_direct_stmts(
     return result
 
 
+class _Bundle:
+    """Emission state shared by the operations of one bundle."""
+
+    def __init__(self, indent: str) -> None:
+        self.indent = indent
+        #: ``(register literal, temporary)`` in slot order: the commit.
+        self.writes: List[Tuple[str, str]] = []
+        #: ``(size, address temporary, value temporary)`` in slot order.
+        self.stores: List[Tuple[int, str, str]] = []
+        #: Register literals the bundle writes, and those it commits.
+        self.written: set = set()
+        self.deferred: set = set()
+        #: What the operations after the current one read: register
+        #: literals (None: unknown, so any) and whether they load.
+        self.later_reads: Optional[set] = set()
+        self.later_loads = False
+        #: Pre-commit register snapshots the tail reads.
+        self.snapshots: Dict[str, str] = {}
+        self._n = 0
+
+    def temp(self) -> str:
+        name = f"_b{self._n}"
+        self._n += 1
+        return name
+
+    def snapshot(self, reg: str) -> str:
+        local = self.snapshots.get(reg)
+        if local is None:
+            local = self.snapshots[reg] = f"_bs{reg}"
+        return local
+
+
+_CONTROL_INTRINSICS = frozenset(("BR", "JABS"))
+
+_BUNDLE_CACHE: Dict[Tuple, Optional[InlinedStmts]] = {}
+
+
 def _resolve_literal(
     node: ast.expr, fields: Dict[str, int]
 ) -> Optional[int]:
@@ -480,94 +591,164 @@ def _collect_reads(node: ast.AST):
                 yield ("mem", None)
 
 
-def _control_inline_safe(
-    stmts, written: set, fields: Dict[str, int]
-) -> Optional[set]:
-    """Per-instance read-after-write check with literal register numbers.
-
-    The generic :func:`direct_eligible` must reject e.g. ``jalr`` (its
-    ``JABS(R(rs1))`` follows ``W(rd, NIP)``), but with the decoded
-    field values known the write target and the later read are concrete
-    registers — the hazard only exists when they collide.  Returns the
-    written-register set, or None when direct lowering is unsafe.
-    """
+def _bundle_reads(stmts, fields: Dict[str, int]):
+    """``(register literals read or None if unknown, loads memory)``."""
+    regs: Optional[set] = set()
+    loads = False
     for stmt in stmts:
-        if isinstance(stmt, ast.If):
-            for kind, arg in _collect_reads(stmt.test):
-                if written:
-                    reg = _resolve_literal(arg, fields) if kind == "reg" else None
-                    if kind == "mem" or reg is None or reg in written:
-                        return None
-            w_then = _control_inline_safe(stmt.body, set(written), fields)
-            if w_then is None:
-                return None
-            w_else = _control_inline_safe(stmt.orelse, set(written), fields)
-            if w_else is None:
-                return None
-            written |= w_then | w_else
-            continue
         for kind, arg in _collect_reads(stmt):
-            if written:
-                reg = _resolve_literal(arg, fields) if kind == "reg" else None
-                if kind == "mem" or reg is None or reg in written:
-                    return None
-        for sub in ast.walk(stmt):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-            ):
-                if sub.func.id == "W":
-                    target = _resolve_literal(sub.args[0], fields)
-                    if target is None:
-                        return None
-                    if target != 0:
-                        written.add(target)
-                elif sub.func.id in _STORE_SIZES:
-                    return None  # control ops never store; stay buffered
-    return written
+            if kind == "mem":
+                loads = True
+                continue
+            reg = _resolve_literal(arg, fields)
+            if reg is None:
+                regs = None
+            elif regs is not None:
+                regs.add(str(reg))
+    return regs, loads
 
 
-def inline_control_stmts(
-    op: Operation,
-    values: Tuple[int, ...],
+def _uses_ip(op: Operation) -> bool:
+    """Whether ``op``'s lowering depends on its address (``IP``/``NIP``
+    or a relative ``BR``), which rules out memoising it."""
+    op_key = (op.name, op.behavior)
+    uses_ip = _USES_IP.get(op_key)
+    if uses_ip is None:
+        uses_ip = any(
+            (isinstance(node, ast.Name) and node.id in ("IP", "NIP"))
+            or (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "BR")
+            for node in ast.walk(_parse_cached(op))
+        )
+        _USES_IP[op_key] = uses_ip
+    return uses_ip
+
+
+def inline_bundle_stmts(
+    ops,
     ip: int,
     next_ip: int,
     *,
     indent: str = "    ",
 ) -> Optional[InlinedStmts]:
-    """Inline a branch/jump terminator instance as direct statements.
+    """Inline one multi-operation instruction (a VLIW bundle).
 
-    Every path through the emitted lines ends in ``return <ip>`` (a
-    trailing fall-through return is appended), so a superblock's whole
-    body *and* terminator collapse into one flat function.  Returns
-    None when the op is not a plain control transfer or when the
-    per-instance read-after-write check fails.
+    ``ops`` holds the bundle's executed operations as ``(op, values)``
+    pairs in slot order.  The emitted statements are, in order:
+
+    * every operation's computation, in slot order — register reads
+      see the pre-bundle values, loads read memory before any store of
+      the bundle.  A register or memory write that a later operation
+      could observe goes to bundle-local temporaries; any other write
+      is made in place (writes to r0 are dropped);
+    * the deferred register writes in slot order;
+    * the deferred stores in slot order;
+    * when the bundle holds a branch: the branch's return paths and a
+      trailing ``return next_ip``, so every path returns the next IP.
+      They run after the write-back, so a register the bundle writes
+      is read from a snapshot taken before it.
+
+    A lone operation is a one-operation bundle: a superblock's branch
+    terminator inlines here whether or not other operations share its
+    instruction, and ``jalr rd, rd`` reads its link register's old
+    value from the snapshot.
+
+    None when an operation cannot be bundled (machine-control
+    intrinsics, writes under a condition or after the control
+    transfer): the instruction keeps the buffered path.
     """
-    if op.kind != "branch":
-        return None
-    tree = _parse_cached(op)
-    fields = {
-        f.name: values[index] for index, f in enumerate(op.value_fields)
-    }
-    fields["IP"] = ip
-    fields["NIP"] = next_ip
-    if _control_inline_safe(tree.body, set(), fields) is None:
-        return None
-    subst = {name: repr(value) for name, value in fields.items()}
-    emitter = _Emitter(op, direct=True, subst=subst, local_prefix="_t_")
-    out: List[str] = []
+    key = None
+    if not any(_uses_ip(op) for op, _ in ops):
+        key = (
+            tuple((op.name, op.behavior, values) for op, values in ops),
+            indent,
+        )
+        if key in _BUNDLE_CACHE:
+            return _BUNDLE_CACHE[key]
+    bundle = _Bundle(indent)
+    compute: List[str] = []
+    tail: List[str] = []
+    controls = []
+    emitters = []
     try:
-        for stmt in tree.body:
-            emitter.stmt(stmt, indent, out)
+        # Split each operation into its computation and its control
+        # transfer, and note what each computation reads.
+        split = []
+        for op, values in ops:
+            fields = {
+                f.name: values[i] for i, f in enumerate(op.value_fields)
+            }
+            body, control = [], []
+            for stmt in _parse_cached(op).body:
+                if _contains_intrinsic(stmt, _CONTROL_INTRINSICS):
+                    control.append(stmt)
+                elif control:
+                    raise BehaviorError(
+                        f"operation {op.name!r}: statement after the "
+                        "control transfer cannot be bundled"
+                    )
+                else:
+                    body.append(stmt)
+            split.append((op, fields, body, control,
+                          _bundle_reads(body, fields)))
+        for index, (op, fields, body, control, _reads) in enumerate(split):
+            # Reads of this operation's own later statements count too.
+            later = split[index + 1:] if len(body) < 2 else split[index:]
+            bundle.later_reads = set()
+            bundle.later_loads = False
+            for *_rest, (regs_read, loads_mem) in later:
+                if regs_read is None or bundle.later_reads is None:
+                    bundle.later_reads = None
+                else:
+                    bundle.later_reads |= regs_read
+                bundle.later_loads = bundle.later_loads or loads_mem
+            subst = {name: repr(value) for name, value in fields.items()}
+            subst["IP"] = repr(ip)
+            subst["NIP"] = repr(next_ip)
+            emitter = _Emitter(
+                op, direct=True, subst=subst,
+                local_prefix=f"_t{index}_", bundle=bundle,
+            )
+            emitters.append(emitter)
+            for stmt in body:
+                emitter.stmt(stmt, indent, compute)
+            if control:
+                controls.append((emitter, control))
+        if len(controls) > 1:
+            raise BehaviorError("more than one control operation")
+        for emitter, control in controls:
+            emitter.bundle_tail = True
+            for stmt in control:
+                emitter.stmt(stmt, indent, tail)
     except BehaviorError:
-        return None
-    out.append(f"{indent}return {next_ip}")
-    return (
-        tuple(out),
-        emitter.uses_regs,
-        frozenset(emitter.uses_loads),
-        frozenset(emitter.uses_stores),
-    )
+        result = None
+    else:
+        lines = [
+            f"{indent}{local} = regs[{reg}]"
+            for reg, local in bundle.snapshots.items()
+        ]
+        lines.extend(compute)
+        for reg, temp in bundle.writes:
+            lines.append(f"{indent}regs[{reg}] = {temp}")
+        for size, addr, value in bundle.stores:
+            lines.append(f"{indent}st{size}({addr}, {value})")
+        if controls:
+            lines.extend(tail)
+            lines.append(f"{indent}return {next_ip}")
+        loads: set = set()
+        stores: set = set()
+        uses_regs = False
+        for emitter in emitters:
+            uses_regs = uses_regs or emitter.uses_regs
+            loads |= emitter.uses_loads
+            stores |= emitter.uses_stores
+        result = (
+            tuple(lines), uses_regs, frozenset(loads), frozenset(stores)
+        )
+    if key is not None:
+        _BUNDLE_CACHE[key] = result
+    return result
 
 
 def generate_sim_function_source(op: Operation) -> str:

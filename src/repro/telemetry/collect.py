@@ -82,6 +82,9 @@ def collect_interpreter_metrics(interp) -> Dict[str, object]:
         )
         out["sim.superblock.translations"] = engine.translations
         out["sim.superblock.plan_cache_hits"] = engine.plan_cache_hits
+        out["sim.superblock.untranslated_plans"] = (
+            engine.untranslated_plans(interp.cycle_model)
+        )
     binding = getattr(interp, "aot", None)
     if binding is not None:
         out["sim.aot.entries_total"] = binding.entries_total

@@ -20,6 +20,7 @@ from repro.cycles.ilp import IlpModel
 from repro.cycles.memmodel import HierarchyConfig, build_hierarchy
 from repro.framework.pipeline import BuildResult, build, build_benchmark, run
 from repro.fuzz import compare, observe
+from repro.programs import PINNED_ISA_MAPS
 from repro.sim import aot
 from repro.sim.interpreter import Interpreter
 from repro.targetgen.optable import TargetDescription, build_target
@@ -90,6 +91,11 @@ def assert_equivalent(ref, *others) -> None:
 #: every bundled benchmark.
 BENCHMARKS = ("cjpeg", "djpeg", "fft", "qsort", "aes", "dct4x4", "crc32")
 
+#: The matrix adds a mixed-ISA build to the all-RISC ones: a name
+#: ``<program>@pinned`` builds the program with its
+#: ``repro.programs.PINNED_ISA_MAPS`` map (VLIW2-8 bundles beside RISC).
+MATRIX = BENCHMARKS + ("dct4x4@pinned",)
+
 #: Cap per matrix run — enough to cross HOT_THRESHOLD on every hot
 #: loop and exercise the memory hierarchy, small enough for tier-1.
 CAP = 60_000
@@ -110,7 +116,10 @@ _BENCHMARK_BUILDS: Dict[str, BuildResult] = {}
 
 def built_benchmark(name: str) -> BuildResult:
     if name not in _BENCHMARK_BUILDS:
-        _BENCHMARK_BUILDS[name] = build_benchmark(name)
+        program, _, pinned = name.partition("@")
+        _BENCHMARK_BUILDS[name] = build_benchmark(
+            program, isa_map=PINNED_ISA_MAPS[program] if pinned else None
+        )
     return _BENCHMARK_BUILDS[name]
 
 
@@ -127,11 +136,11 @@ def make_model(kind: str, width: int, hierarchy: str):
 
 def run_cell(name: str, engine: str, kind: str, hierarchy: str = "default",
              fuse_cycles: bool = True):
-    """One matrix cell: a bundled benchmark under one engine and a
+    """One matrix cell: a :data:`MATRIX` build under one engine and a
     fresh cycle model (``"none"``, ``"ilp"``, ``"aie"`` or ``"doe"``).
     ``engine="aot"`` compiles the cell's own module first."""
     built = built_benchmark(name)
-    model = make_model(kind, built.issue_width, hierarchy)
+    model = make_model(kind, built.widest_issue_width, hierarchy)
     module = None
     if engine == "aot":
         module = aot.prepare(built.elf, built.arch, model=model,

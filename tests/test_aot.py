@@ -37,6 +37,7 @@ from .conftest import (
     BENCHMARKS,
     CAP,
     HIERARCHIES,
+    MATRIX,
     assert_equivalent,
     built_benchmark,
     run_cell,
@@ -52,7 +53,7 @@ class TestDifferentialMatrix:
 
     @pytest.mark.parametrize("hierarchy", sorted(HIERARCHIES))
     @pytest.mark.parametrize("kind", ["ilp", "aie", "doe"])
-    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("name", MATRIX)
     def test_bitwise_identical(self, name, kind, hierarchy):
         ref = run_cell(name, "superblock", kind, hierarchy)
         got = run_cell(name, "aot", kind, hierarchy)
@@ -64,7 +65,7 @@ class TestDifferentialMatrix:
         else:
             assert got.interpreter.aot.blocks_executed > 0
 
-    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("name", MATRIX)
     def test_functional_bitwise_identical(self, name):
         """The ``""`` namespace (no cycle model) for every benchmark."""
         ref = run_cell(name, "superblock", "none")

@@ -23,6 +23,7 @@ from .conftest import (
     BENCHMARKS,
     CAP,
     HIERARCHIES,
+    MATRIX,
     assert_equivalent,
     built_benchmark,
     run_cell,
@@ -47,7 +48,7 @@ class TestFusedMatchesObserve:
 
     @pytest.mark.parametrize("hierarchy", sorted(HIERARCHIES))
     @pytest.mark.parametrize("kind", ["aie", "doe"])
-    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("name", MATRIX)
     def test_cycles_bitwise_identical(self, name, kind, hierarchy):
         observed, fused = differential_pair(name, kind, hierarchy)
         assert_equivalent(observed, fused)

@@ -118,6 +118,32 @@ class TestRunner:
         assert div.forensics["first_divergent_instruction"] is not None
         assert div.first_divergent_pc is not None
 
+    def test_lockstep_escalation_reuses_the_cell_module(self, monkeypatch):
+        """A divergent ``aot`` cell escalates to lockstep on the module
+        the cell compiled: one DOE ``aot.prepare`` call, not two."""
+        from repro.sim import aot
+
+        from .conftest import built_benchmark
+
+        prepare = aot.prepare
+        models = []
+
+        def counting_prepare(elf, arch, *, model=None, **kwargs):
+            models.append(None if model is None else model.name)
+            return prepare(elf, arch, model=model, **kwargs)
+
+        monkeypatch.setattr(aot, "prepare", counting_prepare)
+        result = run_differential(
+            built_benchmark("dct4x4"),
+            [EngineConfig("superblock", "doe"), EngineConfig("aot", "doe")],
+            inject={"at": 1_000, "reg": 30, "xor": 8},
+            inject_into="aot/doe/fused",
+        )
+        assert [d.config.label for d in result.divergences] == [
+            "aot/doe/fused"]
+        assert result.divergences[0].forensics is not None
+        assert models == ["DOE"]
+
 
 class TestCompare:
     """``compare`` names exactly the observables that differ."""

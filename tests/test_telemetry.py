@@ -328,6 +328,29 @@ class TestMetricsReport:
             metrics["mem.cache.l1.hits"] + metrics["mem.cache.l1.misses"]
         )
 
+    @pytest.mark.parametrize("model", ["none", "doe"])
+    def test_untranslated_plans_on_mixed_isa_build(self, model):
+        """Every hot plan of the mixed-ISA dct4x4 build translates,
+        functional and fused DOE alike, but its three
+        ``switchtarget``-only thunk blocks, which keep the buffered
+        terminator; the count reaches the run report, the run-end
+        event and Prometheus under one name."""
+        from repro.programs import PINNED_ISA_MAPS
+        from repro.telemetry import EventStream, prometheus_lines
+
+        built = build_benchmark("dct4x4", isa_map=PINNED_ISA_MAPS["dct4x4"])
+        cycle_model = (DoeModel(issue_width=built.widest_issue_width)
+                       if model == "doe" else None)
+        events = EventStream()
+        result = run(built, engine="superblock", cycle_model=cycle_model,
+                     collect_metrics=True, events=events)
+        name = "sim.superblock.untranslated_plans"
+        assert result.metrics[name] == 3
+        run_end = [e for e in events.events if e["type"] == "run-end"]
+        assert run_end[0][name] == 3
+        assert "kahrisma_sim_superblock_untranslated_plans 3" in (
+            prometheus_lines(result.metrics))
+
     def test_collect_from_stats_only(self):
         stats = SimStats(executed_instructions=7, executed_slots=7)
         metrics = collect_run_metrics(stats=stats)

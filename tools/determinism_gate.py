@@ -19,7 +19,8 @@ model.
    the straight run's (a merged result has no machine state to
    observe; cycles are approximate by design and only reported).
 4. **AOT cross-engine** — each workload in ``--aot-benchmarks``
-   (default: the main workload; ``all`` = every bundled benchmark) goes
+   (default: the main workload; ``all`` = every bundled benchmark),
+   plus the mixed-ISA (pinned ``select_isas`` map) dct4x4 build, goes
    through ``run_differential`` over superblock, aot, superblock/doe
    and aot/doe to completion.  A divergence is rerun in lockstep
    (:func:`repro.telemetry.run_lockstep`) and printed as a forensic
@@ -35,7 +36,8 @@ model.
 
 ``--perf-smoke`` adds wall-clock checks: with a warm persistent plan
 cache, the fused DOE run must be at least ``--min-speedup`` (default
-1.5x) faster than the per-instruction observe path, and the warm AOT
+1.5x) faster than the per-instruction observe path, on the workload
+and on the mixed-ISA (pinned) cjpeg build, and the warm AOT
 functional run of ``--aot-perf-workload`` (default cjpeg, a
 high-table-coverage workload) must be at least ``--min-aot-speedup``
 (default 1.3x) faster than the warm-cache superblock run.
@@ -66,6 +68,7 @@ from repro.fuzz import (  # noqa: E402
     observe,
     run_differential,
 )
+from repro.programs import PINNED_ISA_MAPS  # noqa: E402
 from repro.telemetry import format_forensics, run_lockstep  # noqa: E402
 
 FAILURES = []
@@ -107,7 +110,7 @@ def check_equivalent(label, a, b):
     check(label, diffs)
 
 
-def perf_smoke(built, width, engine, min_speedup):
+def perf_smoke(built, width, engine, min_speedup, label="fused DOE"):
     """Warm-plan-cache fused DOE must beat per-instruction observe."""
     import time
 
@@ -135,13 +138,14 @@ def perf_smoke(built, width, engine, min_speedup):
           f"{best_ref * 1000:.1f} ms -> {speedup:.2f}x "
           f"(required {min_speedup:.2f}x)")
     if speedup < min_speedup:
-        FAILURES.append("fused DOE perf smoke")
-        print("  MISMATCH: fused DOE is not fast enough")
+        FAILURES.append(f"{label} perf smoke")
+        print(f"  MISMATCH: {label} is not fast enough")
 
 
-def aot_cross_engine(name):
+def aot_cross_engine(name, built=None):
     """superblock vs aot, functional and fused DOE, to completion."""
-    built = build_benchmark(name)
+    if built is None:
+        built = build_benchmark(name)
     result = run_differential(built, AOT_MATRIX,
                               max_instructions=DEFAULT_MAX_INSTRUCTIONS)
     check(f"{name} aot vs superblock", [
@@ -349,9 +353,11 @@ def main(argv=None):
         aot_names = [n.strip() for n in args.aot_benchmarks.split(",")]
     else:
         aot_names = [args.workload]
-    print(f"aot cross-engine ({', '.join(aot_names)}) ...")
+    print(f"aot cross-engine ({', '.join(aot_names)}, pinned dct4x4) ...")
     for name in aot_names:
         aot_cross_engine(name)
+    aot_cross_engine("pinned dct4x4", build_benchmark(
+        "dct4x4", isa_map=PINNED_ISA_MAPS["dct4x4"]))
 
     print(f"sampled determinism ({args.sampling_spec}) ...")
     sampled_determinism(built, width, args.sampling_spec)
@@ -363,6 +369,10 @@ def main(argv=None):
     if args.perf_smoke:
         print(f"perf smoke (warm plan cache, min {args.min_speedup}x) ...")
         perf_smoke(built, width, args.engine, args.min_speedup)
+        print(f"perf smoke, pinned cjpeg (min {args.min_speedup}x) ...")
+        pinned = build_benchmark("cjpeg", isa_map=PINNED_ISA_MAPS["cjpeg"])
+        perf_smoke(pinned, pinned.widest_issue_width, args.engine,
+                   args.min_speedup, label="pinned cjpeg fused DOE")
         print(f"aot perf smoke (warm module, min "
               f"{args.min_aot_speedup}x) ...")
         aot_perf_smoke(args.aot_perf_workload, args.min_aot_speedup)
