@@ -94,12 +94,17 @@ def _elf_build(elf: ElfFile) -> BuildResult:
 def cmd_compile_elf(args: argparse.Namespace) -> int:
     """``kahrisma compile <elf>``: ahead-of-time whole-program translation.
 
-    Statically discovers every superblock entry point, translates the
-    whole program into one generated module per requested cycle-model
-    namespace and stores the modules in the plan cache, so a later
-    ``kahrisma run --engine aot`` starts warm (see docs/performance.md).
+    Runs the program once (up to ``--profile-budget`` instructions) to
+    learn the superblocks it executes, translates them into one
+    generated module per requested cycle-model namespace and stores the
+    modules in the plan cache, so a later ``kahrisma run --engine aot``
+    starts warm (see docs/performance.md).
     """
     from .sim import aot
+
+    if args.profile_budget <= 0:
+        raise SystemExit("kahrisma compile: --profile-budget must be "
+                         "positive")
 
     with open(args.input, "rb") as f:
         elf = ElfFile.read(f.read())
@@ -136,9 +141,12 @@ def cmd_compile_elf(args: argparse.Namespace) -> int:
         print(
             f"{label}: {report['covered']} blocks, "
             f"{report['traces']} traces, "
-            f"{report['static_coverage'] * 100:.1f}% static coverage, "
+            f"{report['coverage'] * 100:.1f}% coverage, "
             f"{report['seconds']:.2f}s"
         )
+        if not report["complete"]:
+            print(f"{label}: replay stopped at --profile-budget; the "
+                  f"module covers only the blocks run before it")
     cache.save()
     print(f"plan cache: {cache.path}")
     return status
@@ -953,10 +961,11 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--max-block-len", type=int, metavar="N",
                    help="ELF input: superblock instruction cap "
                         "(default 64; folded into the plan-cache key)")
-    p.add_argument("--profile-budget", type=int, default=1_000_000,
+    p.add_argument("--profile-budget", type=int, default=100_000_000,
                    metavar="N",
-                   help="ELF input: instructions of profile-guided "
-                        "replay seeding discovery (0 disables)")
+                   help="ELF input: instructions of the replay whose "
+                        "executed blocks the module covers (default: "
+                        "the run cap)")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("asm", help="assemble + link an assembly file")

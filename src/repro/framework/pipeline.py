@@ -220,9 +220,11 @@ def run(
     (from :func:`repro.sim.aot.prepare` or a ``kahrisma compile``
     artifact in the plan cache), or leave it None and this function
     prepares one automatically — reviving it from ``plan_cache`` when
-    present, compiling in place otherwise.  Configurations without an
-    AOT representation (tracers, profilers, per-instruction-observing
-    models) transparently degrade to the interactive engine.
+    present, compiling in place otherwise: a replay from the ELF entry
+    through the end of this segment that polls ``cancel`` (see
+    :func:`repro.sim.aot.prepare`).  Configurations without an AOT
+    representation (tracers, profilers, per-instruction-observing
+    models) and ``isa_id`` runs degrade to the interactive engine.
 
     Live observability (``docs/observability.md``): ``events`` (a
     :class:`repro.telemetry.stream.EventStream`) receives run-start /
@@ -282,6 +284,7 @@ def run(
     if (
         config.engine == "aot"
         and aot_module is None
+        and isa_id is None
         and tracer is None
         and profiler is None
         and timeline is None
@@ -290,6 +293,8 @@ def run(
     ):
         from ..sim import aot
 
+        # A resumed run's replay covers the checkpointed prefix too.
+        done = base_stats.executed_instructions if base_stats else 0
         aot_module = aot.prepare(
             built.elf, built.arch,
             # Sampling fast-forwards *functionally*; the detailed
@@ -297,7 +302,9 @@ def run(
             model=None if sampling_config is not None else cycle_model,
             plan_cache=plan_cache,
             max_block_len=max_block_len,
+            profile_budget=done + max_instructions,
             input_data=input_data,
+            cancel=cancel,
         )
     if events is not None:
         start = {"sampling": sampling_config.spec()} \

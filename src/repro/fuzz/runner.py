@@ -209,7 +209,8 @@ def run_config(
     if config.engine == "aot":
         from ..sim import aot
 
-        aot_module = aot.prepare(built.elf, built.arch, model=model)
+        aot_module = aot.prepare(built.elf, built.arch, model=model,
+                                 profile_budget=max_instructions)
         if aot_modules is not None:
             aot_modules[config.label] = aot_module
     interp = Interpreter(

@@ -4,9 +4,9 @@ The interactive superblock engine discovers, translates and chains
 plans lazily, one block at a time, paying a dict-keyed dispatch and an
 engine re-entry between blocks.  This module moves all of that offline
 — the generated-simulator idea of Reshadi & Dutt applied to whole
-programs: ``kahrisma compile <elf>`` statically discovers every
-superblock entry point in the executable, translates each plan with
-the *same* emission path the interactive engine uses
+programs: ``kahrisma compile <elf>`` learns the program's superblock
+entry points by running it once, translates each plan with the *same*
+emission path the interactive engine uses
 (:meth:`~repro.sim.superblock.SuperblockPlan.translate`, including the
 fused AIE/DOE timing variants), and concatenates the results into one
 generated Python module whose dispatch loop is computed-goto style: a
@@ -25,17 +25,16 @@ counters replace them, collapsed into totals once per run).  This is
 where the tier's speedup over the interactive engine comes from; the
 dense table still handles computed transfers between traces.
 
-Discovery is a CFG walk from the ELF entry point and every function
-symbol: inlined branch terminators expose their targets as constant
-``return`` expressions in the generated source, capped/truncated
-blocks fall through, and call/return points seed the successor
-worklist.  A short profile-guided functional replay (budgeted, purely
-optional) adds targets static walking cannot see — indirect branches
-and ISA switches.  Entries are bounded to the ``.text`` segment, and a
-statically derived entry inside another ISA's function symbol
-(``$<isa>$name``) is dropped: decoding one ISA's code under another
-yields only junk plans, which would cost compile time and nothing
-else.  Entries the replay observed are always kept.
+Discovery is a functional replay, as the paper's interpreter learns
+from execution rather than from analysis of the binary: the program
+runs once on the interactive superblock engine (up to the replay
+budget, the run cap by default), and the module's entries are exactly
+the plans the replay executed — indirect-branch targets and ISA-switch
+landing points included, code that never runs excluded.  Each entry is
+re-walked on a freshly loaded image, so its digest is taken over the
+bytes the program starts with even when the replay rewrote them.  A
+replay that traps stops there and the module covers what ran; the run
+itself then traps as on any other engine.
 
 The artifact is stored through the persistent plan cache as one
 whole-module entry per variant namespace (``""`` functional, the cycle
@@ -70,8 +69,8 @@ Correctness contract (the differential suite pins it bitwise):
   ``m`` between blocks, and the fetch-floor clamp is inert without a
   branch model — and with one, the block compiler refuses
   terminators, so no fused module exists), so tables and traces built
-  over statically discovered entries report bitwise the cycles of the
-  lazily chained engine.
+  over the replay's entries report bitwise the cycles of the lazily
+  chained engine.
 
 Instruction budgets stay exact: the dispatch loop pre-checks each
 block (or one whole trace pass) against the remaining budget, traces
@@ -97,7 +96,7 @@ from ..targetgen.optable import build_target
 from .decode_cache import DecodeCache
 from .decoder import KIND_STORE
 from .errors import DecodeError
-from .memory import PAGE_SHIFT, Memory
+from .memory import PAGE_SHIFT
 from .superblock import (
     SuperblockPlan,
     _emit_body_lines,
@@ -110,10 +109,10 @@ from .superblock import (
 #: Bump when the generated module layout or loop protocol changes.
 AOT_FORMAT = 3
 
-#: Instruction budget of the profile-guided discovery replay (a plain
-#: functional superblock run whose plan table seeds the static walk
-#: with indirect-branch and ISA-switch targets).  0 disables it.
-DEFAULT_PROFILE_BUDGET = 1_000_000
+#: Instruction budget of the discovery replay: the run cap
+#: (``repro.framework.config.DEFAULT_MAX_INSTRUCTIONS``), so by default
+#: the module covers every block a whole run executes.
+DEFAULT_PROFILE_BUDGET = 100_000_000
 
 #: Maximum number of blocks inlined into one trace function.
 TRACE_CAP = 24
@@ -132,8 +131,16 @@ _CONST_RE = re.compile(r"^[\d\s()+\-*<>&|^~%]+$")
 #: Warm-start memo: reviving a whole-program module costs a marshal
 #: load plus an exec; repeated runs in one process (benchmarks, shard
 #: workers) reuse the compiled module.  Keyed by cache path and
-#: namespace, guarded by the payload's code blob.
+#: namespace, guarded by the payload's code blob.  Bounded, oldest
+#: first out: a serve worker opens one cache path per distinct build.
+#: The seven bundled programs' pinned builds in the none/aie/doe
+#: namespaces fill 21 keys; the perfbench serve job mix, were its jobs
+#: run on ``aot``, would fill at most 28 (14 builds x the functional
+#: and one DOE namespace).  A revived module holds 0.3-14.6 MB (mean
+#: 3.4 MB over those 21), so the cap bounds a worker's memo to roughly
+#: 100 MB of typical modules.
 _MODULE_MEMO: Dict[Tuple[str, str], Tuple[int, "AotModule"]] = {}
+_MODULE_MEMO_CAP = 32
 
 
 def _namespace_for(model) -> Tuple[Optional[str], object]:
@@ -165,87 +172,6 @@ def _const_value(expr: str) -> Optional[int]:
     except Exception:
         return None
     return value if isinstance(value, int) else None
-
-
-def _static_successors(lines) -> List[int]:
-    """Constant control-transfer targets of inlined terminator lines.
-
-    The behaviour compiler folds decoded fields into literals, so
-    static targets surface as constant ``return`` expressions
-    (``return 4216``, ``return 4216 + ((-3) << 2)``); computed
-    transfers (``return (regs[1]) & ...``) reference state and are
-    skipped — the dense table resolves those at run time.
-    """
-    out: List[int] = []
-    for line in lines:
-        match = _RETURN_RE.match(line)
-        if match is None:
-            continue
-        value = _const_value(match.group(2))
-        if value is not None and value >= 0:
-            out.append(value)
-    return out
-
-
-def discover(
-    cache: DecodeCache,
-    mem: Memory,
-    seeds,
-    max_len: int,
-    bounds: Optional[Tuple[int, int]] = None,
-    functions=(),
-    observed=(),
-) -> Dict[Tuple[int, int], SuperblockPlan]:
-    """CFG-walk every reachable superblock entry point.
-
-    ``seeds`` is an iterable of ``(isa_id, ip)`` pairs; ``bounds``
-    restricts entries to ``[lo, hi)`` (the ``.text`` segment) so the
-    walk cannot wander into zero-filled pages.  ``functions`` holds
-    ``(start, end, isa_id)`` of each function symbol (they do not
-    overlap): an entry inside another ISA's function is dropped unless
-    it is in ``observed`` (entries seen executing).  Uses
-    :func:`~repro.sim.superblock.walk_block`, the same block
-    delimitation the interactive engine applies, so both tiers carve
-    identical plans.
-    """
-    plans: Dict[Tuple[int, int], SuperblockPlan] = {}
-    functions = sorted(functions)
-    starts = [start for start, _end, _isa in functions]
-    observed = set(observed)
-
-    def foreign(isa_id: int, ip: int) -> bool:
-        i = bisect_right(starts, ip) - 1
-        return i >= 0 and ip < functions[i][1] and functions[i][2] != isa_id
-
-    work = list(seeds)
-    while work:
-        isa_id, ip = work.pop()
-        key = (isa_id, ip)
-        if key in plans:
-            continue
-        if bounds is not None and not (bounds[0] <= ip < bounds[1]):
-            continue
-        if key not in observed and foreign(isa_id, ip):
-            continue
-        try:
-            decs, terminated = walk_block(cache, mem, isa_id, ip, max_len)
-        except DecodeError:
-            continue  # data or a dead speculative seed: not an entry
-        plan = SuperblockPlan(isa_id, ip, decs, terminated)
-        plans[key] = plan
-        if plan.term_dec is None:
-            # Capped or truncated: control falls through.
-            work.append((isa_id, plan.end_ip))
-            continue
-        inlined = inline_terminator(plan.term_dec)
-        if inlined is not None:
-            for target in _static_successors(inlined[0]):
-                work.append((isa_id, target))
-        # The terminator's fall-through: branch not-taken, a call's
-        # return point, the word after a switch thunk.  Dead seeds are
-        # filtered by the DecodeError guard above and cost nothing.
-        work.append((isa_id, plan.term_next_ip))
-    return plans
 
 
 # -- trace formation --------------------------------------------------------
@@ -1327,14 +1253,22 @@ def compile_module(
     max_block_len: Optional[int] = None,
     profile_budget: int = DEFAULT_PROFILE_BUDGET,
     input_data: bytes = b"",
+    cancel=None,
 ):
-    """Statically translate one executable for one variant namespace.
+    """Translate the blocks one executable runs, for one namespace.
 
-    Returns ``(module, per_entry, report)``: the compiled
-    :class:`AotModule`, the ``{(isa, ip): (plan, variants)}`` map of
-    every translated plan (for per-entry plan-cache recording) and a
-    summary dict (entry counts, static coverage, seconds).
+    Discovery is a functional replay of up to ``profile_budget``
+    instructions; a replay that traps stops at the trap.  ``cancel``
+    (a zero-argument callable) is polled between replay slices, as
+    :class:`~repro.sim.interpreter.Interpreter` polls it; when it fires
+    the compile is abandoned and None is returned.  Otherwise returns
+    ``(module, per_entry, report)``: the compiled :class:`AotModule`,
+    the ``{(isa, ip): (plan, variants)}`` map of every translated plan
+    (for per-entry plan-cache recording) and a summary dict (entry
+    counts, coverage, seconds, and ``complete``: whether the replay
+    ran to halt or trap, so the module covers the whole run).
     """
+    from .errors import SimulationError
     from .interpreter import Interpreter
     from .superblock import MAX_BLOCK_LEN
 
@@ -1347,44 +1281,44 @@ def compile_module(
         )
     max_len = MAX_BLOCK_LEN if max_block_len is None else max_block_len
     target = build_target(arch)
-    program = load_executable(elf, arch, input_data=input_data)
-    mem = program.state.mem
-    cache = DecodeCache(target)
 
-    text = elf.section(".text")
-    bounds = (
-        (text.addr, text.addr + len(text.data)) if text is not None else None
+    replay = load_executable(elf, arch, input_data=input_data)
+    interp = Interpreter(
+        replay.state, target, engine="superblock", max_block_len=max_len,
+        cancel=cancel,
     )
-    seeds = [(elf.flags, elf.entry)]
-    isa_ids = {isa.name: isa.ident for isa in arch.isas}
-    functions = []
-    for sym in elf.symbols:
-        name = sym.name
-        if sym.size and name.startswith("$"):
-            isa_name, _, rest = name[1:].partition("$")
-            if rest and isa_name in isa_ids:
-                seeds.append((isa_ids[isa_name], sym.value))
-                functions.append(
-                    (sym.value, sym.value + sym.size, isa_ids[isa_name])
-                )
+    # Every entry the replay builds a plan for, including plans that
+    # self-modifying code later drops from the engine's table.
+    executed = set()
+    build = interp.superblock.build
 
-    profile_instructions = 0
-    observed: List[Tuple[int, int]] = []
-    if profile_budget:
-        # Profile-guided augmentation: a budgeted functional replay;
-        # every plan the interactive engine builds — indirect targets,
-        # ISA-switch landing points — seeds the static walk.
-        replay = load_executable(elf, arch, input_data=input_data)
-        interp = Interpreter(
-            replay.state, target, engine="superblock",
-            max_block_len=max_len,
-        )
-        stats = interp.run(max_instructions=profile_budget)
-        profile_instructions = stats.executed_instructions
-        observed = list(interp.superblock.plans.keys())
-        seeds.extend(observed)
+    def build_and_note(mem, isa_id, ip):
+        plan = build(mem, isa_id, ip)
+        executed.add((isa_id, ip))
+        return plan
 
-    plans = discover(cache, mem, seeds, max_len, bounds, functions, observed)
+    interp.superblock.build = build_and_note
+    complete = True
+    try:
+        interp.run(max_instructions=profile_budget)
+        complete = replay.state.halted
+    except SimulationError:
+        pass  # the run traps here too; compile what ran before it
+    if interp.cancelled:
+        return None
+    profile_instructions = interp.stats.executed_instructions
+
+    # Walk each entry on the image the program starts from: under
+    # self-modifying code a replay plan may hold rewritten bytes.
+    mem = load_executable(elf, arch, input_data=input_data).state.mem
+    cache = DecodeCache(target)
+    plans: Dict[Tuple[int, int], SuperblockPlan] = {}
+    for isa_id, ip in executed:
+        try:
+            decs, terminated = walk_block(cache, mem, isa_id, ip, max_len)
+        except DecodeError:
+            continue  # code the program wrote at run time
+        plans[(isa_id, ip)] = SuperblockPlan(isa_id, ip, decs, terminated)
 
     # Translate every plan through the engine's own emission path.
     per_entry: Dict[Tuple[int, int], Tuple[SuperblockPlan, dict]] = {}
@@ -1494,10 +1428,11 @@ def compile_module(
         "translated": len(per_entry),
         "covered": len(entries),
         "traces": len(traces),
-        "static_coverage": (
+        "coverage": (
             round(covered_instr / total_instr, 4) if total_instr else 0.0
         ),
         "profile_instructions": profile_instructions,
+        "complete": complete,
         "seconds": round(time.perf_counter() - start_time, 4),
     }
     return module, per_entry, report
@@ -1512,14 +1447,19 @@ def prepare(
     max_block_len: Optional[int] = None,
     profile_budget: int = DEFAULT_PROFILE_BUDGET,
     input_data: bytes = b"",
+    cancel=None,
 ) -> Optional[AotModule]:
     """Load-or-compile the AOT module serving ``model``.
 
     The fast path revives the whole-module entry from the plan cache
     (warm ``--engine aot`` runs never re-translate); a miss compiles
-    in place and records both the module and its per-plan entries.
-    Returns None when the model has no AOT representation — the
-    caller's ``aot`` engine then degrades to the interactive loop.
+    in place and, when the replay ran to halt or trap, records both
+    the module and its per-plan entries.  A module whose replay stopped
+    at ``profile_budget`` covers only a prefix of the run: it serves
+    the caller but is not saved, so it never stands in for the whole
+    program.  Returns None when the model has no AOT representation or
+    ``cancel`` fired during the replay — the caller's ``aot`` engine
+    then degrades to the interactive loop.
     """
     namespace, _fuser = _namespace_for(model)
     if namespace is None:
@@ -1537,16 +1477,20 @@ def prepare(
                 if payload is not None else None
             )
             if module is not None:
-                _MODULE_MEMO[memo_key] = (stamp, module)
+                _memoise_module(memo_key, stamp, module)
                 return module
-    module, per_entry, _report = compile_module(
+    compiled = compile_module(
         elf, arch,
         model=model,
         max_block_len=max_block_len,
         profile_budget=profile_budget,
         input_data=input_data,
+        cancel=cancel,
     )
-    if plan_cache is not None:
+    if compiled is None:
+        return None
+    module, per_entry, report = compiled
+    if plan_cache is not None and report["complete"]:
         plan_cache.record_module(namespace, module.payload())
         for (isa_id, entry_ip), (plan, variants) in per_entry.items():
             plan_cache.record(
@@ -1555,5 +1499,11 @@ def prepare(
             )
         stamp = plan_cache.module_stamp(namespace)
         if stamp is not None:
-            _MODULE_MEMO[(plan_cache.path, namespace)] = (stamp, module)
+            _memoise_module((plan_cache.path, namespace), stamp, module)
     return module
+
+
+def _memoise_module(key, stamp: int, module: AotModule) -> None:
+    if key not in _MODULE_MEMO and len(_MODULE_MEMO) >= _MODULE_MEMO_CAP:
+        del _MODULE_MEMO[next(iter(_MODULE_MEMO))]  # the oldest
+    _MODULE_MEMO[key] = (stamp, module)

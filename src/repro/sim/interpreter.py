@@ -462,6 +462,9 @@ class Interpreter:
         inv = self._inv
         flight = self.flight
         total = 0
+        # Fallback-block counts, flushed with the table's at the end:
+        # like every other loop, a trap discards this call's counts.
+        fex = fsl = fop = fmi = fmo = 0
         tail = False
         while not state.halted and total < budget:
             entry_isa, entry_ip = state.isa_id, state.ip
@@ -491,10 +494,15 @@ class Interpreter:
             ex, sl, op, mi, mo = sb.execute(
                 state, model, plan.n_instr, inv
             )
-            self._flush(ex, sl, op, 0, 0, 0, mi, mo)
+            fex += ex
+            fsl += sl
+            fop += op
+            fmi += mi
+            fmo += mo
             total += ex
         ex, sl, op, mi, mo = aot.drain()
-        self._flush(ex, sl, op, 0, 0, 0, mi, mo)
+        self._flush(ex + fex, sl + fsl, op + fop, 0, 0, 0, mi + fmi,
+                    mo + fmo)
         if tail and not state.halted and total < budget:
             # The next whole block would overrun the budget: finish
             # the remaining instructions one at a time.

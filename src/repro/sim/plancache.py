@@ -28,8 +28,9 @@ configuration (``""`` for purely functional plans, the cycle model's
 fast-forwarding, AIE and DOE runs side by side.
 
 Besides per-plan entries the cache stores **whole-program modules**:
-the ahead-of-time tier (:mod:`repro.sim.aot`) translates every
-discovered plan into a single generated module per variant namespace
+the ahead-of-time tier (:mod:`repro.sim.aot`) translates every plan
+a replay of the program executes into a single generated module per
+variant namespace
 and persists it under the same digest key, so ``kahrisma compile``
 output and warm ``--engine aot`` runs share the cache with the
 interactive engine's entries.  Modules are megabyte-scale (one source

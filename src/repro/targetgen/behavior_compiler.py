@@ -478,7 +478,14 @@ def _parse_cached(op: Operation) -> ast.Module:
 #: (lines, uses_regs, load intrinsics, store sizes) per op instance.
 InlinedStmts = Tuple[Tuple[str, ...], bool, frozenset, frozenset]
 
+#: Translation memos of :func:`inline_direct_stmts` and
+#: :func:`inline_bundle_stmts`.  Bounded, oldest first out, so a
+#: long-lived process (a fuzz campaign, a serve worker) translating
+#: program after program does not grow without end.  The seven bundled
+#: programs' pinned mixed-ISA builds, AOT-compiled in every namespace
+#: and run in one process, fill 551 and 819 entries.
 _INLINE_CACHE: Dict[Tuple, InlinedStmts] = {}
+_INLINE_CACHE_CAP = 2048
 _USES_IP: Dict[Tuple[str, str], bool] = {}
 
 
@@ -531,6 +538,8 @@ def inline_direct_stmts(
         frozenset(emitter.uses_stores),
     )
     if not uses_ip:
+        if len(_INLINE_CACHE) >= _INLINE_CACHE_CAP:
+            del _INLINE_CACHE[next(iter(_INLINE_CACHE))]  # the oldest
         _INLINE_CACHE[(op_key, values, indent)] = result
     return result
 
@@ -570,6 +579,7 @@ class _Bundle:
 _CONTROL_INTRINSICS = frozenset(("BR", "JABS"))
 
 _BUNDLE_CACHE: Dict[Tuple, Optional[InlinedStmts]] = {}
+_BUNDLE_CACHE_CAP = 2048
 
 
 def _resolve_literal(
@@ -747,6 +757,8 @@ def inline_bundle_stmts(
             tuple(lines), uses_regs, frozenset(loads), frozenset(stores)
         )
     if key is not None:
+        if len(_BUNDLE_CACHE) >= _BUNDLE_CACHE_CAP:
+            del _BUNDLE_CACHE[next(iter(_BUNDLE_CACHE))]  # the oldest
         _BUNDLE_CACHE[key] = result
     return result
 

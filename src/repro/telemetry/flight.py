@@ -214,6 +214,8 @@ def _side_interpreter(built, program, config, flight_capacity):
 
         aot_module = aot.prepare(
             built.elf, built.arch, model=model,
+            max_block_len=config.get("max_block_len"),
+            profile_budget=config["max_instructions"],
             input_data=config.get("input_data", b""),
         )
     flight = FlightRecorder(capacity=flight_capacity)
@@ -315,11 +317,15 @@ def run_lockstep(
     program_a = load_executable(built.elf, built.arch, input_data=input_data)
     program_b = load_executable(built.elf, built.arch, input_data=input_data)
     interp_a, flight_a = _side_interpreter(
-        built, program_a, dict(config_a, input_data=input_data),
+        built, program_a,
+        dict(config_a, input_data=input_data,
+             max_instructions=max_instructions),
         flight_capacity,
     )
     interp_b, flight_b = _side_interpreter(
-        built, program_b, dict(config_b, input_data=input_data),
+        built, program_b,
+        dict(config_b, input_data=input_data,
+             max_instructions=max_instructions),
         flight_capacity,
     )
     injected = [False]

@@ -27,11 +27,16 @@ from repro.binutils.elf import (
     SHF_EXECINSTR,
 )
 from repro.binutils.loader import load_executable
-from repro.framework.pipeline import open_plan_cache, run
+from repro.framework.pipeline import BuildResult, open_plan_cache, run
+from repro.fuzz import run_differential
+from repro.fuzz.runner import EngineConfig, FuzzBuilt
 from repro.programs import program_names
 from repro.sim import aot
+from repro.sim.errors import SimulationError
 from repro.sim.interpreter import Interpreter
 from repro.sim.state import TEXT_BASE
+from repro.targetgen import behavior_compiler as bc
+from repro.telemetry.stream import EventStream
 
 from .conftest import (
     BENCHMARKS,
@@ -79,8 +84,8 @@ def words_elf(words, isa_id=0):
 
     Mirrors ``make_state`` (same base address, so absolute addresses
     inside the encoded words stay valid) but produces a real ELF, so
-    the whole-program compile pipeline — section bounds, entry seeds —
-    runs unmodified.
+    the whole-program compile pipeline — loading, the discovery
+    replay — runs unmodified.
     """
     data = b"".join(w.to_bytes(4, "little") for w in words)
     elf = ElfFile(e_type=ET_EXEC, entry=TEXT_BASE, flags=isa_id)
@@ -98,10 +103,170 @@ def words_elf(words, isa_id=0):
 
 def compile_words(words, **kwargs):
     elf = words_elf(words)
-    module, _per_entry, report = aot.compile_module(
-        elf, KAHRISMA, profile_budget=0, **kwargs
-    )
+    module, _per_entry, report = aot.compile_module(elf, KAHRISMA, **kwargs)
     return elf, module, report
+
+
+class TestDiscovery:
+    """The module covers exactly the blocks the replay executes."""
+
+    def test_code_reached_only_by_fall_through_is_not_compiled(
+        self, risc_table
+    ):
+        # The loop after ``halt`` is a covered-shape block (it ends in
+        # a branch), but control only reaches it by falling through
+        # the halt, so it never runs and must not be translated.
+        dead = TEXT_BASE + 2 * 4
+        words = [
+            enc(risc_table, "addi", rd=5, rs1=0, imm=1),
+            enc(risc_table, "halt"),
+            enc(risc_table, "addi", rd=6, rs1=6, imm=1),
+            enc(risc_table, "bne", rs1=6, rs2=0, imm=-2),
+            enc(risc_table, "halt"),
+        ]
+        elf = words_elf(words)
+        module, per_entry, report = aot.compile_module(elf, KAHRISMA)
+        assert report["profile_instructions"] == 2
+        assert list(per_entry) == [(0, TEXT_BASE)]
+        assert all(entry["ip"] != dead for entry in module.entries)
+
+    def test_trapping_replay_compiles_what_ran(self, risc_table):
+        words = [enc(risc_table, "addi", rd=5, rs1=5, imm=1)] * 3 + [
+            0xFFFFFFFF
+        ]
+        elf = words_elf(words)
+        module, per_entry, _report = aot.compile_module(elf, KAHRISMA)
+        # The one block that ran: three adds, truncated before the bad
+        # word, so not a table entry (it has no branch terminator).
+        assert [p.n_instr for p, _ in per_entry.values()] == [3]
+        assert module.entries == []
+
+    def test_auto_prepare_replays_the_run_budget(self, monkeypatch):
+        built = built_benchmark("dct4x4")
+        budgets = _record_budgets(monkeypatch)
+        result = run(built, engine="aot", max_instructions=1_234)
+        assert budgets == [1_234]
+        assert result.stats.executed_instructions == 1_234
+        assert result.interpreter.aot.blocks_executed > 0
+
+    def test_resumed_run_replays_through_its_segment(
+        self, tmp_path, monkeypatch
+    ):
+        built = built_benchmark("dct4x4")
+        first = run(built, max_instructions=20_000, checkpoint_every=8_000,
+                    checkpoint_dir=str(tmp_path))
+        budgets = _record_budgets(monkeypatch)
+        result = run(built, engine="aot", resume_from=first.checkpoints[0],
+                     max_instructions=5_000)
+        assert budgets == [8_000 + 5_000]
+        assert result.stats.executed_instructions == 8_000 + 5_000
+
+    def test_entry_isa_override_runs_interactively(self, monkeypatch):
+        built = built_benchmark("dct4x4")
+        budgets = _record_budgets(monkeypatch)
+        result = run(built, engine="aot", isa_id=built.elf.flags,
+                     max_instructions=5_000)
+        assert budgets == []
+        assert result.interpreter.aot is None
+        assert result.stats.executed_instructions == 5_000
+
+    def test_lockstep_replays_its_budget(self, monkeypatch):
+        from repro.telemetry.flight import run_lockstep
+
+        built = built_benchmark("dct4x4")
+        budgets = _record_budgets(monkeypatch)
+        assert run_lockstep(built, {"engine": "aot"},
+                            {"engine": "superblock"},
+                            max_instructions=6_000) is None
+        assert budgets == [6_000]
+
+    def test_truncated_module_is_not_cached(self, tmp_path):
+        built = built_benchmark("dct4x4")
+        cold = run(built, engine="aot")
+        cache = open_plan_cache(built, directory=str(tmp_path))
+        short = run(built, engine="aot", max_instructions=2_000,
+                    plan_cache=cache)
+        assert short.interpreter.aot.blocks_executed > 0
+        assert cache.module_stamp("") is None
+        # A later full run on the same cache compiles the whole run.
+        cache = open_plan_cache(built, directory=str(tmp_path))
+        full = run(built, engine="aot", plan_cache=cache)
+        assert cache.module_stamp("") is not None
+        assert full.stats.executed_instructions \
+            == cold.stats.executed_instructions
+        assert full.interpreter.aot.blocks_executed \
+            == cold.interpreter.aot.blocks_executed
+
+    def test_cancel_abandons_a_cold_compile(self, risc_table, tmp_path):
+        # An endless loop: the replay would run the whole budget.
+        built = BuildResult(
+            elf=words_elf([
+                enc(risc_table, "addi", rd=6, rs1=6, imm=1),
+                enc(risc_table, "bne", rs1=6, rs2=0, imm=-2),
+                enc(risc_table, "halt"),
+            ]),
+            link_info=None, compile_result=None, arch=KAHRISMA,
+        )
+        polls = []
+
+        def cancel():
+            polls.append(None)
+            return len(polls) > 1
+
+        cache = open_plan_cache(built, directory=str(tmp_path))
+        events = EventStream()
+        result = run(built, engine="aot", plan_cache=cache, events=events,
+                     cancel=cancel, max_instructions=2_000_000)
+        assert result.cancelled
+        # The replay saw the cancel; the run itself executed nothing.
+        assert result.stats.executed_instructions == 0
+        assert cache.module_stamp("") is None
+        assert [e["type"] for e in events.events] == ["run-start", "run-end"]
+
+
+def _record_budgets(monkeypatch):
+    """Replay budgets of every ``aot.compile_module`` call from now on."""
+    compile_module = aot.compile_module
+    budgets = []
+
+    def recording(*args, profile_budget, **kwargs):
+        budgets.append(profile_budget)
+        return compile_module(*args, profile_budget=profile_budget,
+                              **kwargs)
+
+    monkeypatch.setattr(aot, "compile_module", recording)
+    return budgets
+
+
+class TestGuestTrap:
+    """A program that traps runs on the aot engine as on any other."""
+
+    @staticmethod
+    def _trapping_elf(risc_table):
+        return words_elf(
+            [enc(risc_table, "addi", rd=5, rs1=5, imm=1)] * 3 + [0xFFFFFFFF]
+        )
+
+    @pytest.mark.parametrize("engine", ["superblock", "aot"])
+    def test_pipeline_run_traps_with_events(self, risc_table, engine):
+        built = BuildResult(elf=self._trapping_elf(risc_table),
+                            link_info=None, compile_result=None,
+                            arch=KAHRISMA)
+        events = EventStream()
+        with pytest.raises(SimulationError):
+            run(built, engine=engine, events=events)
+        assert [e["type"] for e in events.events] == ["run-start", "trap"]
+
+    def test_differential_compares_a_trapping_program(self, risc_table):
+        built = FuzzBuilt(elf=self._trapping_elf(risc_table),
+                          link_info=None, arch=KAHRISMA, asm="")
+        result = run_differential(built, [
+            EngineConfig("superblock"),
+            EngineConfig("aot"),
+            EngineConfig("aot", "doe"),
+        ])
+        assert result.ok, [d.detail for d in result.divergences]
+        assert all(o.error for o in result.outcomes)
 
 
 class TestSelfModifyingCode:
@@ -192,11 +357,9 @@ class TestMaxBlockLen:
             enc(risc_table, "addi", rd=5, rs1=5, imm=1) for _ in range(12)
         ] + [enc(risc_table, "halt")]
         elf = words_elf(words)
-        _m, per_entry, report = aot.compile_module(
-            elf, KAHRISMA, profile_budget=0
-        )
+        _m, per_entry, report = aot.compile_module(elf, KAHRISMA)
         _m4, per_entry4, report4 = aot.compile_module(
-            elf, KAHRISMA, profile_budget=0, max_block_len=4
+            elf, KAHRISMA, max_block_len=4
         )
         assert max(p.n_instr for p, _ in per_entry.values()) == 13
         assert max(p.n_instr for p, _ in per_entry4.values()) <= 4
@@ -218,8 +381,9 @@ class TestModuleCache:
 
     def test_warm_prepare_revives_without_compiling(self, tmp_path,
                                                     monkeypatch):
+        # Only a replay that runs to halt leaves a module in the cache.
         built = built_benchmark("dct4x4")
-        cold = aot.prepare(built.elf, built.arch, profile_budget=CAP,
+        cold = aot.prepare(built.elf, built.arch,
                            plan_cache=self._cache(tmp_path, built))
         assert cold is not None
 
@@ -227,7 +391,7 @@ class TestModuleCache:
             raise AssertionError("warm prepare must not recompile")
 
         monkeypatch.setattr(aot, "compile_module", boom)
-        warm = aot.prepare(built.elf, built.arch, profile_budget=CAP,
+        warm = aot.prepare(built.elf, built.arch,
                            plan_cache=self._cache(tmp_path, built))
         assert warm is not None
         assert warm.namespace == cold.namespace
@@ -235,13 +399,12 @@ class TestModuleCache:
 
     def test_warm_module_runs_bitwise_identical(self, tmp_path):
         built = built_benchmark("dct4x4")
-        cold = aot.prepare(built.elf, built.arch, profile_budget=CAP,
+        cold = aot.prepare(built.elf, built.arch,
                            plan_cache=self._cache(tmp_path, built))
         a = run(built, engine="aot", aot_module=cold,
                 max_instructions=CAP)
         warm_module = aot.prepare(
-            built.elf, built.arch, profile_budget=CAP,
-            plan_cache=self._cache(tmp_path, built),
+            built.elf, built.arch, plan_cache=self._cache(tmp_path, built),
         )
         b = run(built, engine="aot", aot_module=warm_module,
                 max_instructions=CAP)
@@ -261,6 +424,33 @@ class TestModuleCache:
         interp.run()
         assert program.state.regs[5] == 7
         assert program.state.halted
+
+
+class TestBoundedMemos:
+    """Translation memos stay at their caps in long-lived processes."""
+
+    def test_memos_never_exceed_their_caps(self, monkeypatch):
+        cap = 8
+        for name in ("_INLINE_CACHE", "_BUNDLE_CACHE"):
+            monkeypatch.setattr(bc, name, {})
+            monkeypatch.setattr(bc, name + "_CAP", cap)
+        monkeypatch.setattr(aot, "_MODULE_MEMO", {})
+        monkeypatch.setattr(aot, "_MODULE_MEMO_CAP", cap)
+        addi = KAHRISMA.isas[0].operation("addi")
+        for imm in range(3 * cap):
+            bc.inline_direct_stmts(addi, (5, 5, imm), TEXT_BASE,
+                                   TEXT_BASE + 4)
+            bc.inline_bundle_stmts(
+                [(addi, (5, 5, imm)), (addi, (6, 6, imm))],
+                TEXT_BASE, TEXT_BASE + 8,
+            )
+            aot._memoise_module((f"plans-{imm}.json", ""), imm, None)
+            assert len(bc._INLINE_CACHE) <= cap
+            assert len(bc._BUNDLE_CACHE) <= cap
+            assert len(aot._MODULE_MEMO) <= cap
+        # Oldest first out: the newest entries survive.
+        assert (f"plans-{3 * cap - 1}.json", "") in aot._MODULE_MEMO
+        assert ("plans-0.json", "") not in aot._MODULE_MEMO
 
 
 class TestTelemetry:

@@ -48,6 +48,25 @@ class TestCompileAndRun:
         lines = open(trace).read().splitlines()
         assert lines and "addi" in "".join(lines)
 
+    def test_compile_elf_then_run_aot(self, app_kc, tmp_path, capsys):
+        elf = str(tmp_path / "app.elf")
+        cache = str(tmp_path / "plans")
+        main(["compile", app_kc, "-o", elf])
+        assert main(["compile", elf, "--models", "none",
+                     "--plan-cache-dir", cache]) == 0
+        assert "% coverage" in capsys.readouterr().out
+        assert main(["run", elf, "--engine", "aot",
+                     "--plan-cache-dir", cache]) == 0
+        assert "42" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_compile_elf_rejects_empty_replay(self, app_kc, tmp_path,
+                                              budget):
+        elf = str(tmp_path / "app.elf")
+        main(["compile", app_kc, "-o", elf])
+        with pytest.raises(SystemExit, match="--profile-budget"):
+            main(["compile", elf, "--profile-budget", budget])
+
     def test_bundled_program_by_name(self, tmp_path, capsys):
         elf = str(tmp_path / "q.elf")
         assert main(["compile", "qsort", "-o", elf]) == 0

@@ -749,12 +749,20 @@ class TestCancelSliceFallback:
     @pytest.mark.parametrize("engine", ["superblock", "aot"])
     def test_cancel_bounded_and_resumable(self, engine, tmp_path):
         built = pipeline.build_benchmark("djpeg")
-        straight = pipeline.run(built, engine=engine)
+
+        def plans():
+            return pipeline.open_plan_cache(
+                built, directory=str(tmp_path / "plans")
+            )
+
+        # The straight run leaves the aot module in the plan cache, so
+        # no cold compile's replay polls the cancel below.
+        straight = pipeline.run(built, engine=engine, plan_cache=plans())
         # The poll turns true after the run starts: cancellation must
         # land at the first CANCEL_SLICE boundary, not run to halt.
         polls = iter([False])
         cancelled = pipeline.run(
-            built, engine=engine, events=None,
+            built, engine=engine, events=None, plan_cache=plans(),
             cancel=lambda: next(polls, True),
             cancel_checkpoint_dir=str(tmp_path / engine),
         )
@@ -764,7 +772,7 @@ class TestCancelSliceFallback:
         assert executed < straight.stats.executed_instructions
         assert cancelled.cancel_checkpoint
         resumed = pipeline.run(
-            built, engine=engine,
+            built, engine=engine, plan_cache=plans(),
             resume_from=cancelled.cancel_checkpoint,
         )
         assert not resumed.cancelled

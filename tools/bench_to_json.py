@@ -271,7 +271,7 @@ def measure_aot(built, repeats):
     instructions = result.stats.executed_instructions
     return {
         "compile_seconds": round(compile_s, 4),
-        "static_coverage": report["static_coverage"],
+        "coverage": report["coverage"],
         "entries": report["covered"],
         "traces": report["traces"],
         "warm_seconds": round(aot_s, 4),
@@ -494,8 +494,8 @@ def main(argv=None):
         aot_row = entry.get("aot")
         if aot_row:
             print(f"  {name}: aot compile {aot_row['compile_seconds']}s "
-                  f"({aot_row['static_coverage'] * 100:.1f}% static "
-                  f"coverage), warm {aot_row['warm_mips']:.2f} MIPS "
+                  f"({aot_row['coverage'] * 100:.1f}% coverage), "
+                  f"warm {aot_row['warm_mips']:.2f} MIPS "
                   f"({aot_row['aot_vs_superblock_speedup']}x over warm "
                   f"superblock)")
         ablation = entry.get("block_len_ablation")
