@@ -8,7 +8,6 @@ the linker recorded in ``e_flags``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..adl.model import Architecture
@@ -20,14 +19,23 @@ from .elf import ElfFile, ET_EXEC, PT_LOAD, STT_FUNC
 from .objfile import ASMMAP_SECTION, DBGLINE_SECTION
 
 
-@dataclass
 class LoadedProgram:
     """Everything needed to simulate one executable."""
 
-    state: ProcessorState
-    syscalls: Syscalls
-    debug_info: DebugInfo
-    elf: ElfFile
+    def __init__(self, state: ProcessorState, syscalls: Syscalls,
+                 elf: ElfFile, debug_info: Optional[DebugInfo] = None):
+        self.state = state
+        self.syscalls = syscalls
+        self.elf = elf
+        self._debug_info = debug_info
+
+    @property
+    def debug_info(self) -> DebugInfo:
+        """Decoded from the ELF on first access: only reports, the
+        profiler, the debugger, selection and cost read it."""
+        if self._debug_info is None:
+            self._debug_info = debug_info_from_elf(self.elf)
+        return self._debug_info
 
     @property
     def output(self) -> str:
@@ -37,9 +45,9 @@ class LoadedProgram:
 def debug_info_from_elf(elf: ElfFile) -> DebugInfo:
     """Build symbolisation info from an ELF's debug sections.
 
-    Shared by the loader and checkpoint resume — a checkpoint carries
-    no debug information, so resuming re-derives it from the original
-    executable when one is supplied.
+    :attr:`LoadedProgram.debug_info` calls it on first access, for a
+    loaded and for a checkpoint-resumed program alike (a checkpoint
+    carries no debug information).
     """
     debug = DebugInfo()
     asmmap = elf.section(ASMMAP_SECTION)
@@ -89,5 +97,4 @@ def load_executable(
     )
     syscalls.install(state)
 
-    return LoadedProgram(state=state, syscalls=syscalls,
-                         debug_info=debug_info_from_elf(elf), elf=elf)
+    return LoadedProgram(state=state, syscalls=syscalls, elf=elf)

@@ -7,9 +7,10 @@ from three module types sharing one interface — a function that maps a
 memory access to its completion cycle:
 
 * :class:`MainMemory` — fixed access delay;
-* :class:`Cache` — n-way set-associative, write-back, LRU.  Because the
-  delay function can be called out of order, every cache line stores the
-  cycle it was written; a hit completes no earlier than that;
+* :class:`Cache` — n-way set-associative, write-back, LRU, its lines
+  kept in flat per-way lists plus a block-to-way dict (a hit is one dict
+  probe).  Because the delay function can be called out of order, every
+  line stores the cycle it was written; a hit completes no earlier;
 * :class:`ConnectionLimit` — models the limited number of access ports
   of a cache/memory by pushing the start (and completion) cycle to the
   next cycle with a free port.
@@ -62,19 +63,6 @@ class MainMemory(MemoryModule):
         self.accesses = 0
 
 
-class _CacheLine:
-    __slots__ = ("tag", "valid", "dirty", "write_cycle", "lru")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        #: Cycle the line's data became available in this cache; a hit
-        #: cannot complete before it (out-of-order call tolerance).
-        self.write_cycle = 0
-        self.lru = 0
-
-
 class Cache(MemoryModule):
     """n-way set-associative cache, write-back policy, LRU replacement."""
 
@@ -97,9 +85,19 @@ class Cache(MemoryModule):
         self.sub = sub if sub is not None else MainMemory()
         self.name = name
         self.num_sets = size // (line_size * assoc)
-        self._sets: List[List[_CacheLine]] = [
-            [_CacheLine() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
+        self._clear()
+
+    def _clear(self) -> None:
+        ways = self.num_sets * self.assoc
+        #: Per-way line state, indexed ``set * assoc + way``: resident
+        #: block number (-1 when invalid), dirty flag, the cycle the
+        #: line's data became available in this cache, and LRU stamp.
+        self._block = [-1] * ways
+        self._dirty = [False] * ways
+        self._fill = [0] * ways
+        self._lru = [0] * ways
+        #: Block number -> way index of every valid line.
+        self._where: Dict[int, int] = {}
         self._lru_clock = 0
         self.hits = 0
         self.misses = 0
@@ -117,64 +115,54 @@ class Cache(MemoryModule):
         return self.misses / total if total else 0.0
 
     def reset(self) -> None:
-        for cache_set in self._sets:
-            for line in cache_set:
-                line.tag = -1
-                line.valid = False
-                line.dirty = False
-                line.write_cycle = 0
-                line.lru = 0
-        self._lru_clock = 0
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
+        self._clear()
         self.sub.reset()
 
     def reset_timing(self) -> None:
-        for cache_set in self._sets:
-            for line in cache_set:
-                line.write_cycle = 0
+        self._fill = [0] * len(self._fill)
         self.sub.reset_timing()
 
     # -- the delay function (paper Section VI-D) ---------------------------
 
     def access(self, addr: int, is_write: bool, slot: int, start: int) -> int:
-        addr &= MASK32
-        block = addr // self.line_size
-        set_index = block % self.num_sets
-        tag = block // self.num_sets
-        cache_set = self._sets[set_index]
+        block = (addr & MASK32) // self.line_size
         self._lru_clock += 1
         current = start + self.delay
+        way = self._where.get(block)
+        if way is not None:
+            self.hits += 1
+            self._lru[way] = self._lru_clock
+            if is_write:
+                self._dirty[way] = True
+            # Out-of-order tolerance: the hit cannot complete before
+            # the cycle the line was actually filled.
+            fill = self._fill[way]
+            return fill if fill > current else current
 
-        for line in cache_set:
-            if line.valid and line.tag == tag:
-                self.hits += 1
-                line.lru = self._lru_clock
-                if is_write:
-                    line.dirty = True
-                # Out-of-order tolerance: the hit cannot complete before
-                # the cycle the line was actually filled.
-                return max(current, line.write_cycle)
-
-        # Miss: fetch the line from the next hierarchy level.
+        # Miss: fetch the line from the next hierarchy level.  The
+        # victim is the set's first way with the oldest LRU stamp
+        # (invalid ways carry stamp 0, so they go first).
         self.misses += 1
-        victim = min(cache_set, key=lambda entry: entry.lru)
+        lru = self._lru
+        base = block % self.num_sets * self.assoc
+        victim = min(range(base, base + self.assoc), key=lru.__getitem__)
         current = self.sub.access(addr, False, slot, current)
-        if victim.valid and victim.dirty:
-            # Write the evicted line back, a second subaccess.
-            self.writebacks += 1
-            victim_addr = (
-                (victim.tag * self.num_sets + set_index) * self.line_size
-            )
-            current = self.sub.access(victim_addr, True, slot, current)
+        evicted = self._block[victim]
+        if evicted >= 0:
+            del self._where[evicted]
+            if self._dirty[victim]:
+                # Write the evicted line back, a second subaccess.
+                self.writebacks += 1
+                current = self.sub.access(
+                    evicted * self.line_size, True, slot, current
+                )
         # Store the fetched data into the cache: pay the delay again.
         current += self.delay
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = is_write
-        victim.write_cycle = current
-        victim.lru = self._lru_clock
+        self._block[victim] = block
+        self._where[block] = victim
+        self._dirty[victim] = is_write
+        self._fill[victim] = current
+        lru[victim] = self._lru_clock
         return current
 
 
@@ -333,12 +321,13 @@ def save_hierarchy_state(module: MemoryModule) -> List[Dict[str, object]]:
     while current is not None:
         if isinstance(current, Cache):
             lines = []
-            for set_index, cache_set in enumerate(current._sets):
-                for way, line in enumerate(cache_set):
-                    if line.valid:
-                        lines.append([set_index, way, line.tag,
-                                      int(line.dirty), line.write_cycle,
-                                      line.lru])
+            assoc, num_sets = current.assoc, current.num_sets
+            for index, block in enumerate(current._block):
+                if block >= 0:
+                    set_index, way = divmod(index, assoc)
+                    lines.append([set_index, way, block // num_sets,
+                                  int(current._dirty[index]),
+                                  current._fill[index], current._lru[index]])
             levels.append({
                 "kind": "cache",
                 "name": current.name,
@@ -391,20 +380,15 @@ def load_hierarchy_state(
                     f"level is {kind!r} "
                     f"({level.get('num_sets')}x{level.get('assoc')})"
                 )
-            for cache_set in current._sets:
-                for line in cache_set:
-                    line.tag = -1
-                    line.valid = False
-                    line.dirty = False
-                    line.write_cycle = 0
-                    line.lru = 0
+            current._clear()
             for set_index, way, tag, dirty, write_cycle, lru in level["lines"]:
-                line = current._sets[set_index][way]
-                line.tag = tag
-                line.valid = True
-                line.dirty = bool(dirty)
-                line.write_cycle = write_cycle
-                line.lru = lru
+                index = set_index * current.assoc + way
+                block = tag * current.num_sets + set_index
+                current._block[index] = block
+                current._where[block] = index
+                current._dirty[index] = bool(dirty)
+                current._fill[index] = write_cycle
+                current._lru[index] = lru
             current._lru_clock = int(level["lru_clock"])
             current.hits = int(level["hits"])
             current.misses = int(level["misses"])

@@ -252,12 +252,15 @@ class Interpreter:
             )
             self._on_trap(wrapped)
             raise wrapped from exc
-        self.stats.elapsed_seconds += time.perf_counter() - start
-        self.stats.decoded_instructions += self.cache.decodes - decodes_before
-        self.stats.cache_lookups += self.cache.lookups - lookups_before
-        self.stats.simops += self.state.simop_count - simops_before
-        self.stats.isa_switches += self.state.isa_switches - switches_before
-        self.stats.exit_code = self.state.exit_code
+        finally:
+            # A trapping run keeps the counts of what completed.
+            st = self.stats
+            st.elapsed_seconds += time.perf_counter() - start
+            st.decoded_instructions += self.cache.decodes - decodes_before
+            st.cache_lookups += self.cache.lookups - lookups_before
+            st.simops += self.state.simop_count - simops_before
+            st.isa_switches += self.state.isa_switches - switches_before
+            st.exit_code = self.state.exit_code
         if self.plan_cache is not None:
             self.plan_cache.save()  # no-op unless new plans were compiled
         return self.stats
@@ -462,47 +465,40 @@ class Interpreter:
         inv = self._inv
         flight = self.flight
         total = 0
-        # Fallback-block counts, flushed with the table's at the end:
-        # like every other loop, a trap discards this call's counts.
-        fex = fsl = fop = fmi = fmo = 0
         tail = False
-        while not state.halted and total < budget:
-            entry_isa, entry_ip = state.isa_id, state.ip
-            executed, reason = aot.dispatch(
-                state, inv, model, budget - total
-            )
-            if flight is not None and executed:
-                # One trail entry per dense-table dispatch segment (a
-                # chain of covered blocks): block-granularity context
-                # at far below block-granularity cost.
-                flight.record_dispatch(entry_isa, entry_ip, executed)
-            total += executed
-            if state.halted or total >= budget:
-                break
-            if reason == "budget":
-                tail = True
-                break
-            # Uncovered IP: one interactive block, then back to the
-            # table.  An undecodable entry raises here exactly as
-            # executing it interactively would.
-            plan = sb.plans.get((state.isa_id, state.ip))
-            if plan is None:
-                plan = sb.build(mem, state.isa_id, state.ip)
-            if plan.n_instr > budget - total:
-                tail = True
-                break
-            ex, sl, op, mi, mo = sb.execute(
-                state, model, plan.n_instr, inv
-            )
-            fex += ex
-            fsl += sl
-            fop += op
-            fmi += mi
-            fmo += mo
-            total += ex
-        ex, sl, op, mi, mo = aot.drain()
-        self._flush(ex + fex, sl + fsl, op + fop, 0, 0, 0, mi + fmi,
-                    mo + fmo)
+        try:
+            while not state.halted and total < budget:
+                entry_isa, entry_ip = state.isa_id, state.ip
+                executed, reason = aot.dispatch(
+                    state, inv, model, budget - total
+                )
+                if flight is not None and executed:
+                    # One trail entry per dense-table dispatch segment
+                    # (a chain of covered blocks): block-granularity
+                    # context at far below block-granularity cost.
+                    flight.record_dispatch(entry_isa, entry_ip, executed)
+                total += executed
+                if state.halted or total >= budget:
+                    break
+                if reason == "budget":
+                    tail = True
+                    break
+                # Uncovered IP: one interactive block, then back to the
+                # table.  An undecodable entry raises here exactly as
+                # executing it interactively would.
+                plan = sb.plans.get((state.isa_id, state.ip))
+                if plan is None:
+                    plan = sb.build(mem, state.isa_id, state.ip)
+                if plan.n_instr > budget - total:
+                    tail = True
+                    break
+                total += sb.execute(
+                    state, model, plan.n_instr, inv, self._flush
+                )
+        finally:
+            # The table's counts, whether the run returns or traps (a
+            # fallback block commits its own through ``_flush``).
+            self._flush(*aot.drain())
         if tail and not state.halted and total < budget:
             # The next whole block would overrun the budget: finish
             # the remaining instructions one at a time.
@@ -510,12 +506,9 @@ class Interpreter:
 
     def _loop_superblock(self, budget: int) -> None:
         """Chained superblock plans, with a per-instruction tail."""
-        executed, slots, ops_exec, mem_instr, mem_ops = (
-            self.superblock.execute(
-                self.state, self.cycle_model, budget, self._inv
-            )
+        executed = self.superblock.execute(
+            self.state, self.cycle_model, budget, self._inv, self._flush
         )
-        self._flush(executed, slots, ops_exec, 0, 0, 0, mem_instr, mem_ops)
         if not self.state.halted and executed < budget:
             # The next whole block would overrun the budget: finish the
             # remaining instructions one at a time (the full loop when
@@ -539,62 +532,62 @@ class Interpreter:
         executed = slots = ops_exec = lookups = 0
         pred_hits = mem_instr = mem_ops = 0
         prev = None
-        while not state.halted and executed < budget:
-            ip = state.ip
-            if prev is not None and prev.pred_ip == ip:
-                dec = prev.pred_dec
-                pred_hits += 1
-            else:
-                isa_id = state.isa_id
-                key = (isa_id, ip)
-                lookups += 1
-                dec = cache.get(key)
-                if dec is None:
-                    dec = miss(mem, isa_id, ip)
-                if prev is not None:
-                    prev.pred_ip = ip
-                    prev.pred_dec = dec
-            prev = dec
-            next_ip = ip + dec.size
-            new_ip = None
-            single = dec.single
-            if single is not None:
-                if single.kind_code != KIND_NOP:
-                    new_ip = single.sim_fn(
-                        state, single.vals, ip, next_ip, regwr, memwr
-                    )
-            else:
-                for fn, vals in dec.exec_ops:
-                    r = fn(state, vals, ip, next_ip, regwr, memwr)
-                    if r is not None:
-                        new_ip = r
-            if model is not None:
-                model.observe(dec, regs)
-            if regwr:
-                for reg, val in regwr:
-                    regs[reg] = val
-                regs[0] = 0
-                del regwr[:]
-            if memwr:
-                for size, addr, val in memwr:
-                    if size == 4:
-                        s4(addr, val)
-                    elif size == 2:
-                        s2(addr, val)
-                    else:
-                        s1(addr, val)
-                del memwr[:]
-            state.ip = next_ip if new_ip is None else new_ip
-            executed += 1
-            slots += dec.n_slots
-            ops_exec += dec.n_exec
-            if dec.has_mem:
-                mem_instr += 1
-                mem_ops += dec.n_mem
-        self._flush(
-            executed, slots, ops_exec, 0, lookups, pred_hits,
-            mem_instr, mem_ops,
-        )
+        try:
+            while not state.halted and executed < budget:
+                ip = state.ip
+                if prev is not None and prev.pred_ip == ip:
+                    dec = prev.pred_dec
+                    pred_hits += 1
+                else:
+                    isa_id = state.isa_id
+                    key = (isa_id, ip)
+                    lookups += 1
+                    dec = cache.get(key)
+                    if dec is None:
+                        dec = miss(mem, isa_id, ip)
+                    if prev is not None:
+                        prev.pred_ip = ip
+                        prev.pred_dec = dec
+                prev = dec
+                next_ip = ip + dec.size
+                new_ip = None
+                single = dec.single
+                if single is not None:
+                    if single.kind_code != KIND_NOP:
+                        new_ip = single.sim_fn(
+                            state, single.vals, ip, next_ip, regwr, memwr
+                        )
+                else:
+                    for fn, vals in dec.exec_ops:
+                        r = fn(state, vals, ip, next_ip, regwr, memwr)
+                        if r is not None:
+                            new_ip = r
+                if model is not None:
+                    model.observe(dec, regs)
+                if regwr:
+                    for reg, val in regwr:
+                        regs[reg] = val
+                    regs[0] = 0
+                    del regwr[:]
+                if memwr:
+                    for size, addr, val in memwr:
+                        if size == 4:
+                            s4(addr, val)
+                        elif size == 2:
+                            s2(addr, val)
+                        else:
+                            s1(addr, val)
+                    del memwr[:]
+                state.ip = next_ip if new_ip is None else new_ip
+                executed += 1
+                slots += dec.n_slots
+                ops_exec += dec.n_exec
+                if dec.has_mem:
+                    mem_instr += 1
+                    mem_ops += dec.n_mem
+        finally:
+            self._flush(executed, slots, ops_exec, mem_instr, mem_ops,
+                        lookups=lookups, pred_hits=pred_hits)
 
     def _loop_cache(self, budget: int) -> None:
         """Decode cache without instruction prediction."""
@@ -609,53 +602,53 @@ class Interpreter:
         memwr: list = []
         executed = slots = ops_exec = 0
         mem_instr = mem_ops = 0
-        while not state.halted and executed < budget:
-            ip = state.ip
-            isa_id = state.isa_id
-            key = (isa_id, ip)
-            dec = cache.get(key)
-            if dec is None:
-                dec = miss(mem, isa_id, ip)
-            next_ip = ip + dec.size
-            new_ip = None
-            single = dec.single
-            if single is not None:
-                if single.kind_code != KIND_NOP:
-                    new_ip = single.sim_fn(
-                        state, single.vals, ip, next_ip, regwr, memwr
-                    )
-            else:
-                for fn, vals in dec.exec_ops:
-                    r = fn(state, vals, ip, next_ip, regwr, memwr)
-                    if r is not None:
-                        new_ip = r
-            if model is not None:
-                model.observe(dec, regs)
-            if regwr:
-                for reg, val in regwr:
-                    regs[reg] = val
-                regs[0] = 0
-                del regwr[:]
-            if memwr:
-                for size, addr, val in memwr:
-                    if size == 4:
-                        s4(addr, val)
-                    elif size == 2:
-                        s2(addr, val)
-                    else:
-                        s1(addr, val)
-                del memwr[:]
-            state.ip = next_ip if new_ip is None else new_ip
-            executed += 1
-            slots += dec.n_slots
-            ops_exec += dec.n_exec
-            if dec.has_mem:
-                mem_instr += 1
-                mem_ops += dec.n_mem
-        self._flush(
-            executed, slots, ops_exec, 0, executed, 0,
-            mem_instr, mem_ops,
-        )
+        try:
+            while not state.halted and executed < budget:
+                ip = state.ip
+                isa_id = state.isa_id
+                key = (isa_id, ip)
+                dec = cache.get(key)
+                if dec is None:
+                    dec = miss(mem, isa_id, ip)
+                next_ip = ip + dec.size
+                new_ip = None
+                single = dec.single
+                if single is not None:
+                    if single.kind_code != KIND_NOP:
+                        new_ip = single.sim_fn(
+                            state, single.vals, ip, next_ip, regwr, memwr
+                        )
+                else:
+                    for fn, vals in dec.exec_ops:
+                        r = fn(state, vals, ip, next_ip, regwr, memwr)
+                        if r is not None:
+                            new_ip = r
+                if model is not None:
+                    model.observe(dec, regs)
+                if regwr:
+                    for reg, val in regwr:
+                        regs[reg] = val
+                    regs[0] = 0
+                    del regwr[:]
+                if memwr:
+                    for size, addr, val in memwr:
+                        if size == 4:
+                            s4(addr, val)
+                        elif size == 2:
+                            s2(addr, val)
+                        else:
+                            s1(addr, val)
+                    del memwr[:]
+                state.ip = next_ip if new_ip is None else new_ip
+                executed += 1
+                slots += dec.n_slots
+                ops_exec += dec.n_exec
+                if dec.has_mem:
+                    mem_instr += 1
+                    mem_ops += dec.n_mem
+        finally:
+            self._flush(executed, slots, ops_exec, mem_instr, mem_ops,
+                        lookups=executed)
 
     def _loop_nocache(self, budget: int) -> None:
         """Detect and decode every executed instruction (slowest)."""
@@ -669,48 +662,49 @@ class Interpreter:
         memwr: list = []
         executed = slots = ops_exec = 0
         mem_instr = mem_ops = 0
-        while not state.halted and executed < budget:
-            ip = state.ip
-            dec = decode_instruction(optables[state.isa_id], mem, ip)
-            next_ip = ip + dec.size
-            new_ip = None
-            single = dec.single
-            if single is not None:
-                if single.kind_code != KIND_NOP:
-                    new_ip = single.sim_fn(
-                        state, single.vals, ip, next_ip, regwr, memwr
-                    )
-            else:
-                for fn, vals in dec.exec_ops:
-                    r = fn(state, vals, ip, next_ip, regwr, memwr)
-                    if r is not None:
-                        new_ip = r
-            if model is not None:
-                model.observe(dec, regs)
-            if regwr:
-                for reg, val in regwr:
-                    regs[reg] = val
-                regs[0] = 0
-                del regwr[:]
-            if memwr:
-                for size, addr, val in memwr:
-                    if size == 4:
-                        s4(addr, val)
-                    elif size == 2:
-                        s2(addr, val)
-                    else:
-                        s1(addr, val)
-                del memwr[:]
-            state.ip = next_ip if new_ip is None else new_ip
-            executed += 1
-            slots += dec.n_slots
-            ops_exec += dec.n_exec
-            if dec.has_mem:
-                mem_instr += 1
-                mem_ops += dec.n_mem
-        self._flush(
-            executed, slots, ops_exec, executed, 0, 0, mem_instr, mem_ops
-        )
+        try:
+            while not state.halted and executed < budget:
+                ip = state.ip
+                dec = decode_instruction(optables[state.isa_id], mem, ip)
+                next_ip = ip + dec.size
+                new_ip = None
+                single = dec.single
+                if single is not None:
+                    if single.kind_code != KIND_NOP:
+                        new_ip = single.sim_fn(
+                            state, single.vals, ip, next_ip, regwr, memwr
+                        )
+                else:
+                    for fn, vals in dec.exec_ops:
+                        r = fn(state, vals, ip, next_ip, regwr, memwr)
+                        if r is not None:
+                            new_ip = r
+                if model is not None:
+                    model.observe(dec, regs)
+                if regwr:
+                    for reg, val in regwr:
+                        regs[reg] = val
+                    regs[0] = 0
+                    del regwr[:]
+                if memwr:
+                    for size, addr, val in memwr:
+                        if size == 4:
+                            s4(addr, val)
+                        elif size == 2:
+                            s2(addr, val)
+                        else:
+                            s1(addr, val)
+                    del memwr[:]
+                state.ip = next_ip if new_ip is None else new_ip
+                executed += 1
+                slots += dec.n_slots
+                ops_exec += dec.n_exec
+                if dec.has_mem:
+                    mem_instr += 1
+                    mem_ops += dec.n_mem
+        finally:
+            self._flush(executed, slots, ops_exec, mem_instr, mem_ops,
+                        decodes=executed)
 
     def _loop_full(self, budget: int) -> None:
         """Featureful slow loop: tracing, IP history, per-op bookkeeping."""
@@ -734,101 +728,102 @@ class Interpreter:
         flight = self.flight
         flight_append = flight.blocks.append if flight is not None else None
         prev = None
-        while not state.halted and executed < budget:
-            ip = state.ip
-            if breakpoints and ip in breakpoints:
-                if self._resume_over_breakpoint:
-                    self._resume_over_breakpoint = False
+        try:
+            while not state.halted and executed < budget:
+                ip = state.ip
+                if breakpoints and ip in breakpoints:
+                    if self._resume_over_breakpoint:
+                        self._resume_over_breakpoint = False
+                    else:
+                        self.stopped_at_breakpoint = True
+                        break
+                if history is not None:
+                    history.append(ip)
+                if pc_counts is not None:
+                    pc_counts[ip] = pc_counts.get(ip, 0) + 1
+                if flight_append is not None:
+                    flight_append(("instr", state.isa_id, ip, 1))
+                if self.use_decode_cache:
+                    if (
+                        self.use_prediction
+                        and prev is not None
+                        and prev.pred_ip == ip
+                    ):
+                        dec = prev.pred_dec
+                        pred_hits += 1
+                    else:
+                        key = (state.isa_id, ip)
+                        lookups += 1
+                        dec = cache.get(key)
+                        if dec is None:
+                            dec = miss(mem, state.isa_id, ip)
+                        if prev is not None:
+                            prev.pred_ip = ip
+                            prev.pred_dec = dec
+                    prev = dec
                 else:
-                    self.stopped_at_breakpoint = True
-                    break
-            if history is not None:
-                history.append(ip)
-            if pc_counts is not None:
-                pc_counts[ip] = pc_counts.get(ip, 0) + 1
-            if flight_append is not None:
-                flight_append(("instr", state.isa_id, ip, 1))
-            if self.use_decode_cache:
-                if (
-                    self.use_prediction
-                    and prev is not None
-                    and prev.pred_ip == ip
-                ):
-                    dec = prev.pred_dec
-                    pred_hits += 1
-                else:
-                    key = (state.isa_id, ip)
-                    lookups += 1
-                    dec = cache.get(key)
-                    if dec is None:
-                        dec = miss(mem, state.isa_id, ip)
-                    if prev is not None:
-                        prev.pred_ip = ip
-                        prev.pred_dec = dec
-                prev = dec
-            else:
-                dec = decode_instruction(optables[state.isa_id], mem, ip)
-                decodes += 1
-            next_ip = ip + dec.size
-            new_ip = None
-            regwr: list = []
-            memwr: list = []
-            for op in dec.ops:
-                if op.kind_code == KIND_NOP:
-                    continue
-                op_reg_start = len(regwr)
-                op_mem_start = len(memwr)
-                in_regs = tuple((r, regs[r]) for r in op.srcs)
-                r = op.sim_fn(state, op.vals, ip, next_ip, regwr, memwr)
-                if r is not None:
-                    new_ip = r
-                if tracer is not None:
-                    cycle = (
-                        model.cycles if model is not None else executed
-                    )
-                    tracer.record(
-                        cycle,
-                        dec,
-                        op,
-                        in_regs,
-                        tuple(regwr[op_reg_start:]),
-                        tuple(memwr[op_mem_start:]),
-                    )
-            if model is not None:
-                model.observe(dec, regs)
-            for reg, val in regwr:
-                regs[reg] = val
-            regs[0] = 0
-            for size, addr, val in memwr:
-                if size == 4:
-                    s4(addr, val)
-                elif size == 2:
-                    s2(addr, val)
-                else:
-                    s1(addr, val)
-            state.ip = next_ip if new_ip is None else new_ip
-            executed += 1
-            slots += dec.n_slots
-            ops_exec += dec.n_exec
-            if dec.has_mem:
-                mem_instr += 1
-                mem_ops += dec.n_mem
-        self._flush(
-            executed, slots, ops_exec, decodes, lookups, pred_hits,
-            mem_instr, mem_ops,
-        )
+                    dec = decode_instruction(optables[state.isa_id], mem, ip)
+                    decodes += 1
+                next_ip = ip + dec.size
+                new_ip = None
+                regwr: list = []
+                memwr: list = []
+                for op in dec.ops:
+                    if op.kind_code == KIND_NOP:
+                        continue
+                    op_reg_start = len(regwr)
+                    op_mem_start = len(memwr)
+                    in_regs = tuple((r, regs[r]) for r in op.srcs)
+                    r = op.sim_fn(state, op.vals, ip, next_ip, regwr, memwr)
+                    if r is not None:
+                        new_ip = r
+                    if tracer is not None:
+                        cycle = (
+                            model.cycles if model is not None else executed
+                        )
+                        tracer.record(
+                            cycle,
+                            dec,
+                            op,
+                            in_regs,
+                            tuple(regwr[op_reg_start:]),
+                            tuple(memwr[op_mem_start:]),
+                        )
+                if model is not None:
+                    model.observe(dec, regs)
+                for reg, val in regwr:
+                    regs[reg] = val
+                regs[0] = 0
+                for size, addr, val in memwr:
+                    if size == 4:
+                        s4(addr, val)
+                    elif size == 2:
+                        s2(addr, val)
+                    else:
+                        s1(addr, val)
+                state.ip = next_ip if new_ip is None else new_ip
+                executed += 1
+                slots += dec.n_slots
+                ops_exec += dec.n_exec
+                if dec.has_mem:
+                    mem_instr += 1
+                    mem_ops += dec.n_mem
+        finally:
+            self._flush(executed, slots, ops_exec, mem_instr, mem_ops,
+                        decodes, lookups, pred_hits)
 
     def _flush(
         self,
         executed: int,
         slots: int,
         ops_exec: int,
-        decodes: int,
-        lookups: int,
-        pred_hits: int,
         mem_instr: int,
         mem_ops: int,
+        decodes: int = 0,
+        lookups: int = 0,
+        pred_hits: int = 0,
     ) -> None:
+        """Commit one loop's counts (on return and on a guest trap)."""
         st = self.stats
         st.executed_instructions += executed
         st.executed_slots += slots

@@ -77,7 +77,7 @@ from ..targetgen.behavior_compiler import (
 )
 from .decode_cache import DecodeCache
 from .decoder import DecodedInstruction, KIND_NOP, KIND_STORE
-from .errors import DecodeError
+from .errors import DecodeError, SimulationError
 from .memory import PAGE_SHIFT, Memory
 from .state import ProcessorState
 
@@ -799,11 +799,14 @@ class SuperblockEngine:
         model,
         budget: int,
         inv: List[bool],
-    ) -> Tuple[int, int, int, int, int]:
+        commit: Callable[[int, int, int, int, int], None],
+    ) -> int:
         """Run chained superblocks until halt, budget or a tail block.
 
-        Returns the locally accumulated ``(instructions, slots, ops,
-        memory instructions, memory ops)``.  When the remaining budget
+        Passes the locally accumulated ``(instructions, slots, ops,
+        memory instructions, memory ops)`` of the completed
+        instructions to ``commit``, on return and on a guest trap alike,
+        and returns the instruction count.  When the remaining budget
         cannot fit the next whole block the method returns early and
         the caller finishes per-instruction.
         """
@@ -824,47 +827,145 @@ class SuperblockEngine:
         fuser = self.fuser if model is not None else None
         prev: Optional[SuperblockPlan] = None
 
-        while not state.halted and executed < budget:
-            ip = state.ip
-            isa_id = state.isa_id
-            if (
-                prev is not None
-                and prev.pred_ip == ip
-                and prev.pred_isa == isa_id
-            ):
-                plan = prev.pred_plan
-                chains += 1
-            else:
-                key = (isa_id, ip)
-                plan = plans.get(key)
-                if plan is None:
-                    plan = self.build(mem, isa_id, ip)
-                if chain and prev is not None:
-                    prev.pred_ip = ip
-                    prev.pred_isa = isa_id
-                    prev.pred_plan = plan
-            if executed + plan.n_instr > budget:
-                break  # tail: the interpreter finishes per-instruction
-            prev = plan
-            blocks += 1
-            aborted = False
-            n = plan.exec_count
-            if n < HOT_THRESHOLD:
-                plan.exec_count = n + 1
-                if n + 1 == HOT_THRESHOLD:
-                    self._hot_translate(plan, model, observe_block)
+        try:
+            while not state.halted and executed < budget:
+                ip = state.ip
+                isa_id = state.isa_id
+                if (
+                    prev is not None
+                    and prev.pred_ip == ip
+                    and prev.pred_isa == isa_id
+                ):
+                    plan = prev.pred_plan
+                    chains += 1
+                else:
+                    key = (isa_id, ip)
+                    plan = plans.get(key)
+                    if plan is None:
+                        plan = self.build(mem, isa_id, ip)
+                    if chain and prev is not None:
+                        prev.pred_ip = ip
+                        prev.pred_isa = isa_id
+                        prev.pred_plan = plan
+                if executed + plan.n_instr > budget:
+                    break  # tail: the interpreter finishes per-instruction
+                prev = plan
+                blocks += 1
+                aborted = False
+                n = plan.exec_count
+                if n < HOT_THRESHOLD:
+                    plan.exec_count = n + 1
+                    if n + 1 == HOT_THRESHOLD:
+                        self._hot_translate(plan, model, observe_block)
 
-            # -- body ------------------------------------------------------
-            if model is None or (
-                observe_block is not None and not plan.has_store
-            ):
-                if observe_block is not None and model is not None:
-                    observe_block(plan, regs)
-                full_fn = plan.full_fn
-                if full_fn is not None:
-                    # Fully translated block: one call executes body
-                    # and terminator and yields the next IP.
-                    r = full_fn(state, inv)
+                # -- body --------------------------------------------------
+                if model is None or (
+                    observe_block is not None and not plan.has_store
+                ):
+                    if observe_block is not None and model is not None:
+                        observe_block(plan, regs)
+                    full_fn = plan.full_fn
+                    if full_fn is not None:
+                        # Fully translated block: one call executes body
+                        # and terminator and yields the next IP.
+                        r = full_fn(state, inv)
+                        if r >= 0:
+                            state.ip = r
+                            executed += plan.n_instr
+                            slots += plan.n_slots
+                            ops_exec += plan.n_exec
+                            mem_instr += plan.n_mem_instr
+                            mem_ops += plan.n_mem_ops
+                            if profiler is not None:
+                                profiler.record_block(plan)
+                            continue
+                        # A store rewrote translated code mid-block.
+                        inv[0] = False
+                        stop = ~r
+                        if profiler is not None:
+                            profiler.record_block_prefix(plan, stop)
+                        d = _partial_stats(plan, stop)
+                        executed += d[0]; slots += d[1]
+                        ops_exec += d[2]; mem_instr += d[3]
+                        mem_ops += d[4]
+                        state.ip = stop
+                        prev = None
+                        continue
+                    kind = plan.kind
+                    body_fn = plan.body_fn
+                    if body_fn is not None:
+                        stop = body_fn(state, inv)
+                        if stop is not None:
+                            # A store rewrote translated code mid-block.
+                            inv[0] = False
+                            if profiler is not None:
+                                profiler.record_block_prefix(plan, stop)
+                            d = _partial_stats(plan, stop)
+                            executed += d[0]; slots += d[1]
+                            ops_exec += d[2]; mem_instr += d[3]
+                            mem_ops += d[4]
+                            state.ip = stop
+                            prev = None
+                            aborted = True
+                    elif kind == PLAN_DIRECT:
+                        for fn, vals, ip_c, nip_c in plan.body:
+                            fn(state, vals, ip_c, nip_c)
+                    elif kind == PLAN_DIRECT_MEM:
+                        for fn, vals, ip_c, nip_c in plan.body:
+                            fn(state, vals, ip_c, nip_c)
+                            if inv[0]:
+                                inv[0] = False
+                                if profiler is not None:
+                                    profiler.record_block_prefix(plan, nip_c)
+                                d = _partial_stats(plan, nip_c)
+                                executed += d[0]; slots += d[1]
+                                ops_exec += d[2]; mem_instr += d[3]
+                                mem_ops += d[4]
+                                state.ip = nip_c
+                                prev = None
+                                aborted = True
+                                break
+                    else:
+                        for fn, vals, ip_c, nip_c in plan.body:
+                            if fn is not None:
+                                fn(state, vals, ip_c, nip_c, regwr, memwr)
+                            else:
+                                for f2, v2 in vals:
+                                    f2(state, v2, ip_c, nip_c, regwr, memwr)
+                            if regwr:
+                                for reg, val in regwr:
+                                    regs[reg] = val
+                                regs[0] = 0
+                                del regwr[:]
+                            if memwr:
+                                for size, addr, val in memwr:
+                                    if size == 4:
+                                        s4(addr, val)
+                                    elif size == 2:
+                                        s2(addr, val)
+                                    else:
+                                        s1(addr, val)
+                                del memwr[:]
+                                if inv[0]:
+                                    inv[0] = False
+                                    if profiler is not None:
+                                        profiler.record_block_prefix(
+                                            plan, nip_c
+                                        )
+                                    d = _partial_stats(plan, nip_c)
+                                    executed += d[0]; slots += d[1]
+                                    ops_exec += d[2]; mem_instr += d[3]
+                                    mem_ops += d[4]
+                                    state.ip = nip_c
+                                    prev = None
+                                    aborted = True
+                                    break
+                    observed_term = observe_block is not None
+                elif fuser is not None and plan.fused_full_fn is not None:
+                    # Fully translated block with the model's accounting
+                    # fused in: one call executes body, terminator and
+                    # cycle bookkeeping and yields the next IP.
+                    r = plan.fused_full_fn(state, inv, model)
                     if r >= 0:
                         state.ip = r
                         executed += plan.n_instr
@@ -875,7 +976,8 @@ class SuperblockEngine:
                         if profiler is not None:
                             profiler.record_block(plan)
                         continue
-                    # A store rewrote translated code mid-block.
+                    # A store rewrote translated code mid-block; the fused
+                    # flush at the abort site already charged the prefix.
                     inv[0] = False
                     stop = ~r
                     if profiler is not None:
@@ -887,12 +989,11 @@ class SuperblockEngine:
                     state.ip = stop
                     prev = None
                     continue
-                kind = plan.kind
-                body_fn = plan.body_fn
-                if body_fn is not None:
-                    stop = body_fn(state, inv)
+                elif fuser is not None and plan.fused_body_fn is not None:
+                    # Fused body; the terminator keeps full buffered
+                    # semantics (and per-instruction observation) below.
+                    stop = plan.fused_body_fn(state, inv, model)
                     if stop is not None:
-                        # A store rewrote translated code mid-block.
                         inv[0] = False
                         if profiler is not None:
                             profiler.record_block_prefix(plan, stop)
@@ -903,31 +1004,14 @@ class SuperblockEngine:
                         state.ip = stop
                         prev = None
                         aborted = True
-                elif kind == PLAN_DIRECT:
-                    for fn, vals, ip_c, nip_c in plan.body:
-                        fn(state, vals, ip_c, nip_c)
-                elif kind == PLAN_DIRECT_MEM:
-                    for fn, vals, ip_c, nip_c in plan.body:
-                        fn(state, vals, ip_c, nip_c)
-                        if inv[0]:
-                            inv[0] = False
-                            if profiler is not None:
-                                profiler.record_block_prefix(plan, nip_c)
-                            d = _partial_stats(plan, nip_c)
-                            executed += d[0]; slots += d[1]
-                            ops_exec += d[2]; mem_instr += d[3]
-                            mem_ops += d[4]
-                            state.ip = nip_c
-                            prev = None
-                            aborted = True
-                            break
+                    observed_term = False
                 else:
-                    for fn, vals, ip_c, nip_c in plan.body:
-                        if fn is not None:
-                            fn(state, vals, ip_c, nip_c, regwr, memwr)
-                        else:
-                            for f2, v2 in vals:
-                                f2(state, v2, ip_c, nip_c, regwr, memwr)
+                    # Per-instruction observing path (AIE/DOE, or any block
+                    # containing stores — keeps abort and observe aligned).
+                    for ops_t, ip_c, nip_c, dec in plan.obs_body:
+                        for f2, v2 in ops_t:
+                            f2(state, v2, ip_c, nip_c, regwr, memwr)
+                        model.observe(dec, regs)
                         if regwr:
                             for reg, val in regwr:
                                 regs[reg] = val
@@ -945,9 +1029,7 @@ class SuperblockEngine:
                             if inv[0]:
                                 inv[0] = False
                                 if profiler is not None:
-                                    profiler.record_block_prefix(
-                                        plan, nip_c
-                                    )
+                                    profiler.record_block_prefix(plan, nip_c)
                                 d = _partial_stats(plan, nip_c)
                                 executed += d[0]; slots += d[1]
                                 ops_exec += d[2]; mem_instr += d[3]
@@ -956,58 +1038,26 @@ class SuperblockEngine:
                                 prev = None
                                 aborted = True
                                 break
-                observed_term = observe_block is not None
-            elif fuser is not None and plan.fused_full_fn is not None:
-                # Fully translated block with the model's accounting
-                # fused in: one call executes body, terminator and
-                # cycle bookkeeping and yields the next IP.
-                r = plan.fused_full_fn(state, inv, model)
-                if r >= 0:
-                    state.ip = r
-                    executed += plan.n_instr
-                    slots += plan.n_slots
-                    ops_exec += plan.n_exec
-                    mem_instr += plan.n_mem_instr
-                    mem_ops += plan.n_mem_ops
-                    if profiler is not None:
-                        profiler.record_block(plan)
+                    observed_term = False
+                if aborted:
                     continue
-                # A store rewrote translated code mid-block; the fused
-                # flush at the abort site already charged the prefix.
-                inv[0] = False
-                stop = ~r
-                if profiler is not None:
-                    profiler.record_block_prefix(plan, stop)
-                d = _partial_stats(plan, stop)
-                executed += d[0]; slots += d[1]
-                ops_exec += d[2]; mem_instr += d[3]
-                mem_ops += d[4]
-                state.ip = stop
-                prev = None
-                continue
-            elif fuser is not None and plan.fused_body_fn is not None:
-                # Fused body; the terminator keeps full buffered
-                # semantics (and per-instruction observation) below.
-                stop = plan.fused_body_fn(state, inv, model)
-                if stop is not None:
-                    inv[0] = False
-                    if profiler is not None:
-                        profiler.record_block_prefix(plan, stop)
-                    d = _partial_stats(plan, stop)
-                    executed += d[0]; slots += d[1]
-                    ops_exec += d[2]; mem_instr += d[3]
-                    mem_ops += d[4]
-                    state.ip = stop
-                    prev = None
-                    aborted = True
-                observed_term = False
-            else:
-                # Per-instruction observing path (AIE/DOE, or any block
-                # containing stores — keeps abort and observe aligned).
-                for ops_t, ip_c, nip_c, dec in plan.obs_body:
-                    for f2, v2 in ops_t:
-                        f2(state, v2, ip_c, nip_c, regwr, memwr)
-                    model.observe(dec, regs)
+
+                # -- terminator (full buffered semantics) ---------------------
+                if plan.term_dec is not None:
+                    ip_c = plan.term_ip
+                    nip_c = plan.term_next_ip
+                    new_ip = None
+                    fn = plan.term_fn
+                    if fn is not None:
+                        new_ip = fn(state, plan.term_vals, ip_c, nip_c,
+                                    regwr, memwr)
+                    else:
+                        for f2, v2 in plan.term_ops:
+                            r = f2(state, v2, ip_c, nip_c, regwr, memwr)
+                            if r is not None:
+                                new_ip = r
+                    if model is not None and not observed_term:
+                        model.observe(plan.term_dec, regs)
                     if regwr:
                         for reg, val in regwr:
                             regs[reg] = val
@@ -1022,73 +1072,36 @@ class SuperblockEngine:
                             else:
                                 s1(addr, val)
                         del memwr[:]
-                        if inv[0]:
-                            inv[0] = False
-                            if profiler is not None:
-                                profiler.record_block_prefix(plan, nip_c)
-                            d = _partial_stats(plan, nip_c)
-                            executed += d[0]; slots += d[1]
-                            ops_exec += d[2]; mem_instr += d[3]
-                            mem_ops += d[4]
-                            state.ip = nip_c
-                            prev = None
-                            aborted = True
-                            break
-                observed_term = False
-            if aborted:
-                continue
-
-            # -- terminator (full buffered semantics) ---------------------
-            if plan.term_dec is not None:
-                ip_c = plan.term_ip
-                nip_c = plan.term_next_ip
-                new_ip = None
-                fn = plan.term_fn
-                if fn is not None:
-                    new_ip = fn(state, plan.term_vals, ip_c, nip_c,
-                                regwr, memwr)
+                    state.ip = nip_c if new_ip is None else new_ip
                 else:
-                    for f2, v2 in plan.term_ops:
-                        r = f2(state, v2, ip_c, nip_c, regwr, memwr)
-                        if r is not None:
-                            new_ip = r
-                if model is not None and not observed_term:
-                    model.observe(plan.term_dec, regs)
-                if regwr:
-                    for reg, val in regwr:
-                        regs[reg] = val
-                    regs[0] = 0
-                    del regwr[:]
-                if memwr:
-                    for size, addr, val in memwr:
-                        if size == 4:
-                            s4(addr, val)
-                        elif size == 2:
-                            s2(addr, val)
-                        else:
-                            s1(addr, val)
-                    del memwr[:]
-                state.ip = nip_c if new_ip is None else new_ip
-            else:
-                state.ip = plan.end_ip
-            if inv[0]:
-                # A terminator (store beside a branch, or a simop
-                # writing into code) invalidated plans; the chain is
-                # already severed — just drop our stale reference.
-                inv[0] = False
-                prev = None
+                    state.ip = plan.end_ip
+                if inv[0]:
+                    # A terminator (store beside a branch, or a simop
+                    # writing into code) invalidated plans; the chain is
+                    # already severed — just drop our stale reference.
+                    inv[0] = False
+                    prev = None
 
-            executed += plan.n_instr
-            slots += plan.n_slots
-            ops_exec += plan.n_exec
-            mem_instr += plan.n_mem_instr
-            mem_ops += plan.n_mem_ops
-            if profiler is not None:
-                profiler.record_block(plan)
-
-        self.blocks_executed += blocks
-        self.chain_hits += chains
-        return executed, slots, ops_exec, mem_instr, mem_ops
+                executed += plan.n_instr
+                slots += plan.n_slots
+                ops_exec += plan.n_exec
+                mem_instr += plan.n_mem_instr
+                mem_ops += plan.n_mem_ops
+                if profiler is not None:
+                    profiler.record_block(plan)
+        except SimulationError as exc:
+            # Once a block runs only its terminator (a simop or ISA
+            # switch) can trap: the body before it has completed.
+            if not isinstance(exc, DecodeError) and plan.term_dec is not None:
+                d = _partial_stats(plan, plan.term_ip)
+                executed += d[0]; slots += d[1]; ops_exec += d[2]
+                mem_instr += d[3]; mem_ops += d[4]
+            raise
+        finally:
+            self.blocks_executed += blocks
+            self.chain_hits += chains
+            commit(executed, slots, ops_exec, mem_instr, mem_ops)
+        return executed
 
 
 def _partial_stats(

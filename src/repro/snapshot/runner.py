@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..adl.model import Architecture
-from ..binutils.loader import LoadedProgram, debug_info_from_elf
+from ..binutils.loader import LoadedProgram
 from ..sim.debuginfo import DebugInfo
 from ..sim.interpreter import Interpreter
 from ..sim.stats import SimStats
@@ -146,12 +146,10 @@ def load_checkpoint_program(
     """
     payload = read_checkpoint(source) if isinstance(source, str) else source
     restored = restore_run(payload, arch, cycle_model=cycle_model)
-    debug = debug_info_from_elf(elf) if elf is not None else DebugInfo()
     program = LoadedProgram(
-        state=restored.state,
-        syscalls=restored.syscalls,
-        debug_info=debug,
-        elf=elf,
+        restored.state, restored.syscalls, elf,
+        # With the executable, debug info decodes on first access.
+        debug_info=None if elf is not None else DebugInfo(),
     )
     return ResumedProgram(
         program=program,

@@ -29,7 +29,13 @@ from repro.binutils.elf import (
 from repro.binutils.loader import load_executable
 from repro.framework.pipeline import BuildResult, open_plan_cache, run
 from repro.fuzz import run_differential
-from repro.fuzz.runner import EngineConfig, FuzzBuilt
+from repro.fuzz.runner import (
+    EngineConfig,
+    FuzzBuilt,
+    compare,
+    default_matrix,
+    run_config,
+)
 from repro.programs import program_names
 from repro.sim import aot
 from repro.sim.errors import SimulationError
@@ -135,11 +141,12 @@ class TestDiscovery:
             0xFFFFFFFF
         ]
         elf = words_elf(words)
-        module, per_entry, _report = aot.compile_module(elf, KAHRISMA)
+        module, per_entry, report = aot.compile_module(elf, KAHRISMA)
         # The one block that ran: three adds, truncated before the bad
         # word, so not a table entry (it has no branch terminator).
         assert [p.n_instr for p, _ in per_entry.values()] == [3]
         assert module.entries == []
+        assert report["profile_instructions"] == 3
 
     def test_auto_prepare_replays_the_run_budget(self, monkeypatch):
         built = built_benchmark("dct4x4")
@@ -267,6 +274,33 @@ class TestGuestTrap:
         ])
         assert result.ok, [d.detail for d in result.divergences]
         assert all(o.error for o in result.outcomes)
+
+    def test_trapped_run_keeps_the_completed_counts(self, risc_table):
+        """Every engine commits the three adds that ran before the
+        undecodable word, whatever its loop or cycle model."""
+        built = FuzzBuilt(elf=self._trapping_elf(risc_table),
+                          link_info=None, arch=KAHRISMA, asm="")
+        outcomes = [
+            run_config(built, config)
+            for config in default_matrix(models=(None, "ilp", "aie", "doe"))
+        ]
+        for got in outcomes:
+            assert got.error, got.config.label
+            assert got.stats["executed_instructions"] == 3, got.config.label
+            assert compare(outcomes[0], got) == [], got.config.label
+
+    @pytest.mark.parametrize("engine", ["predict", "superblock", "aot"])
+    def test_terminator_trap_keeps_the_block_body(self, risc_table, engine):
+        """An unknown simop traps in its block's terminator: the three
+        adds of the block body before it still count."""
+        words = [enc(risc_table, "addi", rd=5, rs1=5, imm=1)] * 3 + [
+            enc(risc_table, "simop", imm=999)
+        ]
+        built = FuzzBuilt(elf=words_elf(words), link_info=None,
+                          arch=KAHRISMA, asm="")
+        got = run_config(built, EngineConfig(engine, "doe"))
+        assert "simop 999" in got.error
+        assert got.stats["executed_instructions"] == 3
 
 
 class TestSelfModifyingCode:

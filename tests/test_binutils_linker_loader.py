@@ -172,6 +172,27 @@ class TestLayoutAndLoading:
         fn = program.debug_info.function_at(state.ip)
         assert fn is not None and fn.name == "$risc$main"
 
+    def test_debug_info_decoded_on_first_access(self, assembler,
+                                                monkeypatch):
+        from repro.binutils import loader
+
+        calls = []
+        decode = loader.debug_info_from_elf
+        monkeypatch.setattr(loader, "debug_info_from_elf",
+                            lambda elf: calls.append(elf) or decode(elf))
+        obj = assembler.assemble(
+            ".global $risc$main\n.func $risc$main\n$risc$main:\nhalt\n"
+            ".endfunc\n", "m.s"
+        )
+        elf, _ = link([obj], KAHRISMA, entry_symbol="$risc$main",
+                      entry_isa=0)
+        program = load_executable(elf, KAHRISMA)
+        Interpreter(program.state).run(max_instructions=10)
+        assert calls == []
+        assert program.debug_info.function_at(TEXT_BASE) is not None
+        assert program.debug_info is program.debug_info
+        assert calls == [elf]
+
     def test_loader_isa_override(self, assembler):
         obj = assembler.assemble(
             ".global $risc$main\n$risc$main:\nhalt\n", "m.s"

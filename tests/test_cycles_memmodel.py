@@ -1,7 +1,13 @@
 """Memory hierarchy approximation (Section VI-D): hand-computed delays."""
 
+import hashlib
+import json
+import random
+import tracemalloc
+
 import pytest
 
+from repro.cycles.doe import DoeModel
 from repro.cycles.memmodel import (
     Cache,
     ConnectionLimit,
@@ -9,7 +15,11 @@ from repro.cycles.memmodel import (
     MainMemory,
     build_hierarchy,
     find_cache,
+    save_hierarchy_state,
 )
+from repro.framework.pipeline import run
+
+from .conftest import built_benchmark
 
 
 class TestMainMemory:
@@ -183,3 +193,120 @@ class TestHierarchy:
     def test_find_cache_unknown(self):
         chain = build_hierarchy(HierarchyConfig())
         assert find_cache(chain, "L3") is None
+
+
+class _LineCacheOracle:
+    """The per-line cache algorithm the flat layout replaced: one
+    ``[tag, valid, dirty, write_cycle, lru]`` record per line, a linear
+    tag search per access and the set's first oldest line as victim."""
+
+    def __init__(self, *, size, line_size, assoc, delay, sub):
+        self.line_size, self.delay, self.sub = line_size, delay, sub
+        self.num_sets = size // (line_size * assoc)
+        self.sets = [[[-1, False, False, 0, 0] for _ in range(assoc)]
+                     for _ in range(self.num_sets)]
+        self.clock = self.hits = self.misses = self.writebacks = 0
+
+    def reset_timing(self):
+        for cache_set in self.sets:
+            for line in cache_set:
+                line[3] = 0
+
+    def access(self, addr, is_write, slot, start):
+        block = (addr & 0xFFFFFFFF) // self.line_size
+        set_index, tag = block % self.num_sets, block // self.num_sets
+        cache_set = self.sets[set_index]
+        self.clock += 1
+        current = start + self.delay
+        for line in cache_set:
+            if line[1] and line[0] == tag:
+                self.hits += 1
+                line[4] = self.clock
+                line[2] = line[2] or is_write
+                return max(current, line[3])
+        self.misses += 1
+        victim = min(cache_set, key=lambda line: line[4])
+        current = self.sub.access(addr, False, slot, current)
+        if victim[1] and victim[2]:
+            self.writebacks += 1
+            current = self.sub.access(
+                (victim[0] * self.num_sets + set_index) * self.line_size,
+                True, slot, current,
+            )
+        current += self.delay
+        victim[:] = [tag, True, is_write, current, self.clock]
+        return current
+
+
+class TestFlatCacheAgainstOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_stream(self, seed):
+        rng = random.Random(seed)
+        assoc = rng.randint(1, 4)
+        line_size = rng.choice((4, 8, 16))
+        num_sets = rng.choice((1, 2, 4))
+        geometry = dict(size=num_sets * assoc * line_size,
+                        line_size=line_size, assoc=assoc,
+                        delay=rng.randint(1, 4))
+        cache = Cache(sub=MainMemory(11), **geometry)
+        oracle = _LineCacheOracle(sub=MainMemory(11), **geometry)
+        # Enough distinct blocks to force conflicts in every set.
+        span = line_size * num_sets * (assoc + 2)
+        clock = 0
+        for step in range(600):
+            if step == 300:
+                cache.reset_timing()
+                oracle.reset_timing()
+                clock = 0
+            clock += rng.randint(0, 6)
+            # Start cycles out of program order, as the DOE issues them.
+            start = max(0, clock + rng.randint(-25, 10))
+            addr = rng.randrange(span) | rng.choice((0, 0xFFF00000))
+            is_write = rng.random() < 0.4
+            assert (cache.access(addr, is_write, 0, start)
+                    == oracle.access(addr, is_write, 0, start)), step
+        assert (cache.hits, cache.misses, cache.writebacks) == (
+            oracle.hits, oracle.misses, oracle.writebacks)
+        assert cache.sub.accesses == oracle.sub.accesses
+
+
+#: sha256 of ``save_hierarchy_state`` (sorted, compact JSON) after a
+#: full exact-DOE run of the pinned dct4x4 build, recorded with the
+#: per-line cache layout: the state format and its content are fixed.
+PINNED_DCT4X4_HIERARCHY_DIGEST = (
+    "fd48e0bdc4a5ba98e528e7a350591b105aa97b9ba04d17a40ced815795f0bd31"
+)
+
+
+def _hierarchy_digest(model) -> str:
+    blob = json.dumps(save_hierarchy_state(model.memory), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestHierarchyState:
+    def test_pinned_dct4x4_digest_and_resume(self, tmp_path):
+        built = built_benchmark("dct4x4@pinned")
+        width = built.widest_issue_width
+        straight = DoeModel(issue_width=width)
+        run(built, cycle_model=straight)
+        assert _hierarchy_digest(straight) == PINNED_DCT4X4_HIERARCHY_DIGEST
+        # Save mid-run, load into a fresh model, continue to the end.
+        first = run(built, cycle_model=DoeModel(issue_width=width),
+                    checkpoint_every=30_000, checkpoint_dir=str(tmp_path))
+        resumed = DoeModel(issue_width=width)
+        run(built, cycle_model=resumed, resume_from=first.checkpoints[0])
+        assert resumed.save_state() == straight.save_state()
+
+
+def test_default_model_builds_small():
+    """Building the paper's hierarchy allocates flat per-way lists,
+    not one object per line (the per-line layout took 773 KB)."""
+    DoeModel()  # first construction may fill import-time caches
+    tracemalloc.start()
+    try:
+        DoeModel()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024

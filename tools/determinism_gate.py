@@ -13,7 +13,9 @@ model.
    path) against the per-instruction ``fuse_cycles=False`` path.
 2. **Resume** — a straight fused DOE run against a periodically
    checkpointed run and against a run resumed from a mid-run
-   checkpoint (the resumed run restores the model state).
+   checkpoint (the resumed run restores the model state, its cache
+   hierarchy included), on the workload and on the mixed-ISA (pinned
+   ``select_isas`` map) dct4x4 build with DOE sized to its widest ISA.
 3. **Shard merge** — ``repro.framework.parallel`` with N shards: the
    merged architectural statistics, output and exit code must equal
    the straight run's (a merged result has no machine state to
@@ -109,6 +111,32 @@ def check_equivalent(label, a, b):
                   for key in sorted(state_a)
                   if state_a[key] != state_b.get(key)]
     check(label, diffs)
+
+
+def checkpoint_resume(built, width, engine, every, straight, label=""):
+    """A periodically checkpointed DOE run and a run resumed from its
+    middle checkpoint, each against the ``straight`` run.  False when
+    the workload is too short to write a checkpoint."""
+    with tempfile.TemporaryDirectory() as directory:
+        part = run(
+            built, engine=engine,
+            cycle_model=DoeModel(issue_width=width),
+            checkpoint_every=every,
+            checkpoint_dir=directory,
+        )
+        if not part.checkpoints:
+            print(f"  MISMATCH: no {label}checkpoints written — workload "
+                  f"too short for --checkpoint-every {every}")
+            return False
+        check_equivalent(f"{label}checkpointed run", straight, part)
+        middle = part.checkpoints[len(part.checkpoints) // 2]
+        print(f"resuming {label}from {os.path.basename(middle)} ...")
+        resumed = run(
+            built, engine=engine,
+            cycle_model=DoeModel(issue_width=width), resume_from=middle,
+        )
+        check_equivalent(f"{label}resumed run", straight, resumed)
+    return True
 
 
 def perf_smoke(built, width, engine, min_speedup, label="fused DOE"):
@@ -311,25 +339,19 @@ def main(argv=None):
     check_equivalent("fused vs per-instruction doe", straight, ref)
 
     print(f"checkpoint + resume (every {args.checkpoint_every}) ...")
-    with tempfile.TemporaryDirectory() as directory:
-        part = run(
-            built, engine=args.engine,
-            cycle_model=DoeModel(issue_width=width),
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=directory,
-        )
-        if not part.checkpoints:
-            print(f"  MISMATCH: no checkpoints written — workload too "
-                  f"short for --checkpoint-every {args.checkpoint_every}")
-            return 1
-        check_equivalent("checkpointed run", straight, part)
-        middle = part.checkpoints[len(part.checkpoints) // 2]
-        print(f"resuming from {os.path.basename(middle)} ...")
-        resumed = run(
-            built, engine=args.engine,
-            cycle_model=DoeModel(issue_width=width), resume_from=middle,
-        )
-        check_equivalent("resumed run", straight, resumed)
+    if not checkpoint_resume(built, width, args.engine,
+                             args.checkpoint_every, straight):
+        return 1
+    print(f"checkpoint + resume, pinned dct4x4 "
+          f"(every {args.checkpoint_every}) ...")
+    pinned_dct = build_benchmark("dct4x4", isa_map=PINNED_ISA_MAPS["dct4x4"])
+    pinned_width = pinned_dct.widest_issue_width
+    pinned_straight = run(pinned_dct, engine=args.engine,
+                          cycle_model=DoeModel(issue_width=pinned_width))
+    if not checkpoint_resume(pinned_dct, pinned_width, args.engine,
+                             args.checkpoint_every, pinned_straight,
+                             label="pinned dct4x4 "):
+        return 1
 
     print(f"parallel shard merge ({args.shards} shards) ...")
     par = run_parallel(built, shards=args.shards, model="doe",
@@ -356,8 +378,7 @@ def main(argv=None):
     print(f"aot cross-engine ({', '.join(aot_names)}, pinned dct4x4) ...")
     for name in aot_names:
         aot_cross_engine(name)
-    aot_cross_engine("pinned dct4x4", build_benchmark(
-        "dct4x4", isa_map=PINNED_ISA_MAPS["dct4x4"]))
+    aot_cross_engine("pinned dct4x4", pinned_dct)
 
     print(f"sampled determinism ({args.sampling_spec}) ...")
     sampled_determinism(built, width, args.sampling_spec)
