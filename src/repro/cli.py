@@ -132,12 +132,7 @@ def cmd_compile_elf(args: argparse.Namespace) -> int:
             print(f"{label}: {exc}")
             status = 1
             continue
-        cache.record_module(module.namespace, module.payload())
-        for (isa_id, entry_ip), (plan, variants) in per_entry.items():
-            cache.record(
-                isa_id, entry_ip, plan.span, plan.code_digest,
-                module.namespace, variants,
-            )
+        aot.record_compiled(cache, module, per_entry)
         print(
             f"{label}: {report['covered']} blocks, "
             f"{report['traces']} traces, "

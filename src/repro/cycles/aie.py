@@ -203,7 +203,6 @@ class _AieBlockCompiler(BlockCompiler):
             self._pending += advance
             return []
         self._mem = True
-        self.uses_regs = True
         out: List[str] = []
         self._flush_pending(out)
         temps = []
@@ -211,9 +210,8 @@ class _AieBlockCompiler(BlockCompiler):
             temp = f"_yx{index}"
             temps.append(temp)
             out.append(
-                f"{temp} = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                f" & 4294967295, {op.kind_code == KIND_STORE}, "
-                f"{op.slot}, _ycc)"
+                f"{temp} = _yacc({self.address(op)}, "
+                f"{op.kind_code == KIND_STORE}, {op.slot}, _ycc)"
             )
         if len(temps) == 1:
             out.append(

@@ -57,6 +57,15 @@ class BlockCompiler:
         #: body's own flag by the translator.
         self.uses_regs = False
 
+    def address(self, op) -> str:
+        """Effective-address expression of a memory operation: a
+        register value is 32-bit already, so a zero offset needs no
+        mask."""
+        self.uses_regs = True
+        if op.mem_imm == 0:
+            return f"regs[{op.mem_base}]"
+        return f"(regs[{op.mem_base}] + {op.mem_imm}) & 4294967295"
+
     def begin(self) -> None:
         raise NotImplementedError
 

@@ -294,10 +294,9 @@ class _DoeBlockCompiler(BlockCompiler):
         target = f"_yr{dsts[0]}" if dsts else "_yx"
         if kind == KIND_LOAD or kind == KIND_STORE:
             self._mem = True
-            self.uses_regs = True
             out.append(
-                f"{target} = _yacc((regs[{op.mem_base}] + {op.mem_imm})"
-                f" & 4294967295, {kind == KIND_STORE}, {slot}, {yst})"
+                f"{target} = _yacc({self.address(op)}, "
+                f"{kind == KIND_STORE}, {slot}, {yst})"
             )
         elif op.delay:
             out.append(f"{target} = {yst} + {op.delay}")

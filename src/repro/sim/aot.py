@@ -11,7 +11,10 @@ emission path the interactive engine uses
 fused AIE/DOE timing variants), and concatenates the results into one
 generated Python module whose dispatch loop is computed-goto style: a
 ``while`` over a dense IP→function table, so block-to-block chaining
-is a local list index instead of a hash lookup.
+is a local list index instead of a hash lookup.  The statements come
+from the behaviour compiler already in their final form (see
+:mod:`repro.targetgen.behavior_compiler`); what this tier adds is the
+dense table, trace formation and register promotion.
 
 On top of the per-block functions the compiler forms **traces**: runs
 of covered blocks connected by constant control transfers (the
@@ -81,9 +84,7 @@ the same instruction count as every other engine.
 
 from __future__ import annotations
 
-import ast
 import base64
-import hashlib
 import marshal
 import re
 import time
@@ -91,7 +92,7 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from ..binutils.loader import load_executable
-from ..targetgen.behavior_compiler import SIM_GLOBALS
+from ..targetgen.behavior_compiler import SIM_GLOBALS, access_prologue
 from ..targetgen.optable import build_target
 from .decode_cache import DecodeCache
 from .decoder import KIND_STORE
@@ -107,7 +108,7 @@ from .superblock import (
 )
 
 #: Bump when the generated module layout or loop protocol changes.
-AOT_FORMAT = 3
+AOT_FORMAT = 4
 
 #: Instruction budget of the discovery replay: the run cap
 #: (``repro.framework.config.DEFAULT_MAX_INSTRUCTIONS``), so by default
@@ -378,13 +379,7 @@ def _emit_trace(
         stores |= p["stores"]
     args = "state, inv, m, _zh, _zb" if fused else "state, inv, _zh, _zb"
     out = [f"def {name}({args}):"]
-    if uses_regs:
-        out.append("    regs = state.regs")
-    for intrinsic in sorted(loads):
-        size = intrinsic[1]
-        out.append(f"    ld{size} = state.mem.load{size}")
-    for size in sorted(stores):
-        out.append(f"    st{size} = state.mem.store{size}")
+    out.extend(access_prologue(uses_regs, loads, stores))
     out.append("    _zn = 0")
     if nsegs > 1:
         out.append("    _zj = 0")
@@ -447,275 +442,20 @@ def _emit_trace(
     return out
 
 
-# -- ahead-of-time optimisation ---------------------------------------------
+# -- register promotion ------------------------------------------------------
 #
-# The interactive engine translates under a latency budget (a plan may
-# be translated and thrown away after a few executions), so its
-# emission stays deliberately simple.  The AOT tier translates once,
-# offline — it can afford a real optimisation pass over the generated
-# source.  Two transforms, both exact:
-#
-# * **Sign-extension inlining**: ``s8/s16/s32(x)`` helper calls become
-#   the branch-free expression ``((x & mask) ^ sign) - sign`` — same
-#   two's-complement result, no Python call.
-# * **Register promotion**: constant-indexed ``regs[k]`` accesses
-#   become function locals ``_rk``, loaded once at entry and written
-#   back (written registers only) immediately before *every* return —
-#   abort returns included, so the architectural register file is
-#   bit-exact at each exit point, exactly as the unpromoted code left
-#   it.  Inside a trace the back-edge ``continue`` keeps the registers
-#   in locals across iterations, which is where the win lives.
-#   Promotion is skipped entirely when any ``regs`` use is not a
-#   constant-indexed subscript (aliasing would be unsound).
-
-#: ``name -> (mask, sign bit)`` of the inlinable sign-extend helpers
-#: (their definitions live in ``behavior_compiler``; the inlined
-#: expression is the branch-free equivalent).
-_SEXT_HELPERS = {
-    "s8": (0xFF, 0x80),
-    "s16": (0xFFFF, 0x8000),
-    "s32": (0xFFFFFFFF, 0x80000000),
-}
-
-_MASK32_C = 0xFFFFFFFF
-_SIGN32_C = 0x80000000
-
-
-def _is_masked_clean(node: ast.AST) -> bool:
-    """Is ``node``'s value provably already in ``[0, 2**32)``?
-
-    Register-file reads are clean by invariant (every write path masks
-    — the emitter's ``& MASK32``, the loader, the syscall layer), the
-    memory intrinsics return masked values, and masking/right-shifting
-    a clean value stays clean.
-    """
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, int) and 0 <= node.value <= _MASK32_C
-    if (
-        isinstance(node, ast.Subscript)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "regs"
-    ):
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("ld1", "ld2", "ld4")
-    ):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
-        return any(
-            isinstance(s, ast.Constant)
-            and isinstance(s.value, int)
-            and 0 <= s.value <= _MASK32_C
-            for s in (node.left, node.right)
-        )
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift):
-        return _is_masked_clean(node.left)
-    return False
-
-
-def _ring_simplify(node: ast.AST) -> ast.AST:
-    """Simplify ``node`` given it sits under a ``& 0xFFFFFFFF`` mask.
-
-    Mod-2**32 congruence is preserved by ``+ - * <<`` (left operand)
-    and by the bitwise operators (bit *i* of a result depends only on
-    bits ``<= i`` of the operands), so inside a masked context
-    ``s32(x)`` is congruent to ``x`` and an inner ``& 0xFFFFFFFF`` is
-    redundant.  Right shifts and divisions depend on high bits and are
-    deliberately not descended into.
-    """
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "s32"
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        return _ring_simplify(node.args[0])
-    if isinstance(node, ast.BinOp):
-        op = node.op
-        if isinstance(op, ast.BitAnd):
-            if (
-                isinstance(node.right, ast.Constant)
-                and node.right.value == _MASK32_C
-            ):
-                return _ring_simplify(node.left)
-            if (
-                isinstance(node.left, ast.Constant)
-                and node.left.value == _MASK32_C
-            ):
-                return _ring_simplify(node.right)
-        if isinstance(op, (ast.Add, ast.Sub, ast.Mult,
-                           ast.BitAnd, ast.BitOr, ast.BitXor)):
-            node.left = _ring_simplify(node.left)
-            node.right = _ring_simplify(node.right)
-            return node
-        if isinstance(op, ast.LShift):
-            node.left = _ring_simplify(node.left)
-            return node
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        node.operand = _ring_simplify(node.operand)
-        return node
-    return node
-
-
-class _RingMask(ast.NodeTransformer):
-    """Mask-context and identity folding over generated expressions.
-
-    ``E & 0xFFFFFFFF`` ring-simplifies ``E`` and disappears entirely
-    when ``E`` is provably masked already; the integer identities
-    ``x+0``, ``x-0``, ``x<<0``, ``x|0``, ``x^0``, ``x*1`` fold (the
-    emitter produces them for register moves and zero offsets, and
-    they are exact for Python integers).
-    """
-
-    def visit_BinOp(self, node: ast.BinOp):
-        self.generic_visit(node)
-        op = node.op
-        if isinstance(op, ast.BitAnd):
-            for this, other in (
-                (node.right, node.left), (node.left, node.right)
-            ):
-                if (
-                    isinstance(this, ast.Constant)
-                    and this.value == _MASK32_C
-                ):
-                    inner = _ring_simplify(other)
-                    if _is_masked_clean(inner):
-                        return inner
-                    return ast.BinOp(inner, ast.BitAnd(),
-                                     ast.Constant(_MASK32_C))
-        if isinstance(node.right, ast.Constant):
-            value = node.right.value
-            if value == 0 and isinstance(
-                op, (ast.Add, ast.Sub, ast.LShift, ast.RShift,
-                     ast.BitOr, ast.BitXor)
-            ):
-                return node.left
-            if value == 1 and isinstance(op, ast.Mult):
-                return node.left
-        if (
-            isinstance(node.left, ast.Constant)
-            and node.left.value == 0
-            and isinstance(op, (ast.Add, ast.BitOr, ast.BitXor))
-        ):
-            return node.right
-        return node
-
-
-def _is_s32_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "s32"
-        and len(node.args) == 1
-        and not node.keywords
-    )
-
-
-class _SignedCompare(ast.NodeTransformer):
-    """``s32(a) <op> s32(b)`` without materialising signed values.
-
-    For masked values the map ``y = s32(x) -> y + 2**31 = x ^ 2**31``
-    is a monotonic bijection onto ``[0, 2**32)``, so flipping the sign
-    bit of both operands preserves every ordering comparison; equality
-    needs no flip at all.
-    """
-
-    def visit_Compare(self, node: ast.Compare):
-        self.generic_visit(node)
-        if len(node.ops) != 1:
-            return node
-        left, right = node.left, node.comparators[0]
-        if not (_is_s32_call(left) and _is_s32_call(right)):
-            return node
-        op = node.ops[0]
-        if isinstance(op, (ast.Eq, ast.NotEq)):
-            node.left = _masked(left.args[0])
-            node.comparators[0] = _masked(right.args[0])
-        elif isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-            node.left = _flip_sign(left.args[0])
-            node.comparators[0] = _flip_sign(right.args[0])
-        return node
-
-
-def _masked(arg: ast.AST) -> ast.AST:
-    if _is_masked_clean(arg):
-        return arg
-    return ast.BinOp(arg, ast.BitAnd(), ast.Constant(_MASK32_C))
-
-
-def _flip_sign(arg: ast.AST) -> ast.AST:
-    return ast.BinOp(_masked(arg), ast.BitXor(), ast.Constant(_SIGN32_C))
-
-
-class _InlineSext(ast.NodeTransformer):
-    """Replace ``sN(x)`` calls with ``((x & mask) ^ sign) - sign``."""
-
-    def visit_Call(self, node: ast.Call):
-        self.generic_visit(node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _SEXT_HELPERS
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            mask, sign = _SEXT_HELPERS[node.func.id]
-            masked = ast.BinOp(node.args[0], ast.BitAnd(),
-                               ast.Constant(mask))
-            flipped = ast.BinOp(masked, ast.BitXor(), ast.Constant(sign))
-            return ast.BinOp(flipped, ast.Sub(), ast.Constant(sign))
-        return node
-
-
-class _InlineLoad4(ast.NodeTransformer):
-    """Open-code the aligned-word fast path of ``Memory.load4``.
-
-    ``ld4(E)`` becomes an :class:`ast.IfExp` that masks the address
-    into a walrus temp, indexes the per-page word ``memoryview`` when
-    the address is aligned and the page exists, and otherwise falls
-    back to the bound ``ld4`` — which also covers big-endian hosts,
-    where ``Memory`` keeps no word views and ``_zg`` always returns
-    None.  The walrus temps are safe to share between sites: each
-    site's uses sit between its own assignment and its result, and
-    Python fully evaluates nested/earlier sites first.
-
-    Requires ``_zg = state.mem._views.get`` in the function prologue
-    (``_optimize_source`` inserts it when any site was rewritten; the
-    ``_views`` dict is mutated in place, never rebound, so the bound
-    ``get`` cannot go stale).
-    """
-
-    _TEMPLATE = (
-        "_zw[(_za & 4095) >> 2]"
-        " if not (_za := _ZARG) & 3"
-        " and (_zw := _zg(_za >> 12)) is not None"
-        " else ld4(_za)"
-    )
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def visit_Call(self, node: ast.Call):
-        self.generic_visit(node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "ld4"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            self.count += 1
-            expr = ast.parse(self._TEMPLATE, mode="eval").body
-            arg = _masked(node.args[0])
-
-            class _Splice(ast.NodeTransformer):
-                def visit_Name(self, name: ast.Name):
-                    return arg if name.id == "_ZARG" else name
-
-            return _Splice().visit(expr)
-        return node
-
+# The behaviour compiler already lowered every statement in its final
+# form, the same for every tier.  What the AOT tier adds — it
+# translates once, offline, so it can afford it — is register
+# promotion: constant-indexed ``regs[k]`` accesses become function
+# locals ``_rk``, loaded once at entry and written back (written
+# registers only) immediately before *every* return — abort returns
+# included, so the architectural register file is bit-exact at each
+# exit point, exactly as the unpromoted code left it.  Inside a trace
+# the back-edge ``continue`` keeps the registers in locals across
+# iterations, which is where the win lives.  Promotion is skipped
+# entirely when any ``regs`` use is not a constant-indexed subscript
+# (aliasing would be unsound).
 
 #: A constant-indexed register-file access, and any use of ``regs``.
 _REG_SUBSCRIPT_RE = re.compile(r"\bregs\[(\d+)\]")
@@ -728,9 +468,11 @@ _BIND_REGS = "regs = state.regs"
 def _promote_registers(lines: List[str], always: bool) -> List[str]:
     """Promote ``regs[const]`` to locals in one generated function.
 
-    Works on the source lines (every generated statement is one line,
-    and the line pass below leaves no return inside a one-line
-    compound statement).  ``always`` forces promotion for trace
+    Works on the source lines: every generated statement is one line,
+    and no ``return`` or register store follows a colon on its line
+    (the block compilers' one-line ``if`` timing statements do
+    neither; ``tests/test_aot.py`` checks the emitted modules).
+    ``always`` forces promotion for trace
     functions (their loops amortise the entry loads); plain block
     functions are promoted only when the static access count beats
     the load/write-back overhead.
@@ -766,97 +508,6 @@ def _promote_registers(lines: List[str], always: bool) -> List[str]:
             )
         out.append(line)
     return out
-
-
-_HEADER_KEYWORDS = ("if ", "elif ", "while ")
-
-
-def _optimize_line(text: str, memo: dict) -> Tuple[Tuple[str, ...], bool]:
-    """Run the expression passes over one unindented statement line.
-
-    Returns ``(lines, whether an ld4 was open-coded)``, memoised in
-    ``memo``: the same instruction's statements recur in every trace
-    that inlines its block, so one compile rewrites each line once.
-    """
-    memoised = memo.get(text)
-    if memoised is not None:
-        return memoised
-    loads = _InlineLoad4()
-    result: Tuple[Tuple[str, ...], bool] = ((text,), False)
-    try:
-        keyword = next(
-            (k for k in _HEADER_KEYWORDS
-             if text.startswith(k) and text.endswith(":")),
-            None,
-        )
-        if keyword is not None:
-            # A compound-statement header: rewrite its expression.
-            tree = ast.parse(text[len(keyword):-1], mode="eval")
-        elif text.endswith(":"):
-            tree = None  # else:
-        else:
-            tree = ast.parse(text)
-        if tree is not None:
-            for visitor in (_RingMask(), _SignedCompare(), _InlineSext(),
-                            loads):
-                tree = visitor.visit(tree)
-            body = ast.unparse(tree)
-            if keyword is not None:
-                body = f"{keyword}{body}:"
-            result = (tuple(body.split("\n")), bool(loads.count))
-    except (SyntaxError, ValueError, RecursionError):
-        pass
-    memo[text] = result
-    return result
-
-
-def _optimize_source(
-    source: str, *, always_promote: bool = False,
-    line_memo: Optional[dict] = None,
-) -> str:
-    """Run the AOT optimisation pass over one generated function.
-
-    Exact-semantics transforms only (see the section comment above):
-    the expression passes statement by statement (memoised per line in
-    ``line_memo``, one compile's), then register promotion over the
-    whole function.  A statement the passes cannot parse stays
-    untouched — the pass is an accelerator, never load-bearing.
-    """
-    memo_key = (
-        hashlib.sha256(source.encode("utf-8")).digest(), always_promote
-    )
-    memoised = _OPTIMIZE_MEMO.get(memo_key)
-    if memoised is not None:
-        return memoised
-    if line_memo is None:
-        line_memo = {}
-    lines = source.split("\n")
-    out = [lines[0]]
-    open_coded = False
-    for line in lines[1:]:
-        text = line.lstrip(" ")
-        indent = line[:len(line) - len(text)]
-        rewritten, loads = _optimize_line(text, line_memo)
-        open_coded = open_coded or loads
-        out.extend(indent + piece for piece in rewritten)
-    if open_coded:
-        out.insert(1, "    _zg = state.mem._views.get")
-    result = "\n".join(_promote_registers(out, always_promote))
-    if len(_OPTIMIZE_MEMO) >= _OPTIMIZE_MEMO_CAP:
-        del _OPTIMIZE_MEMO[next(iter(_OPTIMIZE_MEMO))]  # the oldest
-    _OPTIMIZE_MEMO[memo_key] = result
-    return result
-
-
-#: Optimised-source memo, keyed by input digest.  Identical inputs
-#: recur heavily — fused timing statements bake no memory-hierarchy
-#: parameters (accesses go through the bound model at run time), so
-#: two hierarchy configurations translate every plan to byte-identical
-#: source, and shared library blocks repeat across programs.  Bounded,
-#: oldest first out, so a long-lived process (a fuzz campaign, a serve
-#: worker) compiling program after program does not grow without end.
-_OPTIMIZE_MEMO: Dict[Tuple[bytes, bool], str] = {}
-_OPTIMIZE_MEMO_CAP = 2048
 
 
 # -- module emission --------------------------------------------------------
@@ -1345,7 +996,6 @@ def compile_module(
     index_of: Dict[Tuple[int, int], int] = {}
     prefixes: Dict[Tuple[int, int], Optional[dict]] = {}
     block_sources: List[str] = []
-    line_memo: dict = {}
     for key in covered_keys:
         plan = plans[key]
         prefix = None
@@ -1358,11 +1008,9 @@ def compile_module(
         index = len(entries)
         index_of[key] = index
         prefixes[key] = prefix
+        source = sources[key].replace("_superblock_body", f"_f{index}", 1)
         block_sources.append(
-            _optimize_source(
-                sources[key].replace("_superblock_body", f"_f{index}", 1),
-                line_memo=line_memo,
-            )
+            "\n".join(_promote_registers(source.split("\n"), False))
         )
         entries.append(
             {
@@ -1391,18 +1039,10 @@ def compile_module(
     trace_sources: List[str] = []
     for chain in _build_regions(traceable, pieces, prefixes):
         name = f"_t{len(traces)}"
-        trace_sources.append(
-            _optimize_source(
-                "\n".join(
-                    _emit_trace(
-                        name, chain, plans, pieces, index_of,
-                        fuser is not None,
-                    )
-                ),
-                always_promote=True,
-                line_memo=line_memo,
-            )
+        lines = _emit_trace(
+            name, chain, plans, pieces, index_of, fuser is not None
         )
+        trace_sources.append("\n".join(_promote_registers(lines, True)))
         merged: Dict[str, List[int]] = {}
         for k in chain:
             merged.update(prefixes.get(k) or {})
@@ -1491,16 +1131,23 @@ def prepare(
         return None
     module, per_entry, report = compiled
     if plan_cache is not None and report["complete"]:
-        plan_cache.record_module(namespace, module.payload())
-        for (isa_id, entry_ip), (plan, variants) in per_entry.items():
-            plan_cache.record(
-                isa_id, entry_ip, plan.span, plan.code_digest,
-                namespace, variants,
-            )
+        record_compiled(plan_cache, module, per_entry)
         stamp = plan_cache.module_stamp(namespace)
         if stamp is not None:
             _memoise_module((plan_cache.path, namespace), stamp, module)
     return module
+
+
+def record_compiled(plan_cache, module: AotModule, per_entry) -> None:
+    """Record a :func:`compile_module` result in ``plan_cache``: the
+    whole module and every plan it translated, so the interactive
+    fallback engine reuses the very same translations."""
+    plan_cache.record_module(module.namespace, module.payload())
+    for (isa_id, entry_ip), (plan, variants) in per_entry.items():
+        plan_cache.record(
+            isa_id, entry_ip, plan.span, plan.code_digest,
+            module.namespace, variants,
+        )
 
 
 def _memoise_module(key, stamp: int, module: AotModule) -> None:

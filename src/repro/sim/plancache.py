@@ -75,9 +75,9 @@ try:
 except ImportError:  # non-POSIX: O_EXCL spin-lock fallback
     fcntl = None
 
-#: Bump when the on-disk layout or the generated-function calling
-#: convention changes.
-FORMAT_VERSION = 2
+#: Bump when the on-disk layout, the generated-function calling
+#: convention or the behaviour compiler's lowering changes.
+FORMAT_VERSION = 4
 
 #: Longest a writer waits for the sidecar lock before degrading to an
 #: unlocked (merge-and-hope) write.  Generous: the critical section is

@@ -72,6 +72,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..targetgen.behavior_compiler import (
     SIM_GLOBALS,
     InlinedStmts,
+    access_prologue,
     inline_bundle_stmts,
     inline_direct_stmts,
 )
@@ -474,14 +475,7 @@ def _compile_plan_fn(
     timing_prologue: Optional[List[str]] = None,
     fused: bool = False,
 ) -> Tuple[Callable, str, object]:
-    prologue: List[str] = []
-    if uses_regs:
-        prologue.append("    regs = state.regs")
-    for intrinsic in sorted(loads):
-        size = intrinsic[1]
-        prologue.append(f"    ld{size} = state.mem.load{size}")
-    for size in sorted(stores):
-        prologue.append(f"    st{size} = state.mem.store{size}")
+    prologue = access_prologue(uses_regs, loads, stores)
     if timing_prologue:
         for stmt in timing_prologue:
             prologue.append("    " + stmt)
@@ -1046,6 +1040,9 @@ class SuperblockEngine:
                 if plan.term_dec is not None:
                     ip_c = plan.term_ip
                     nip_c = plan.term_next_ip
+                    # A trapping terminator reports its own IP, as on
+                    # the per-instruction engines.
+                    state.ip = ip_c
                     new_ip = None
                     fn = plan.term_fn
                     if fn is not None:

@@ -42,6 +42,16 @@ temporary, committed only after all operations computed — the
 interpreter's read-before-write commit, without buffers and without
 per-operation eligibility (an operation needs no direct variant to be
 inlined in a bundle).
+
+Each instruction is lowered once, in its final form: every mode
+applies the same exact rewrites (see :class:`_Emitter`) — a 32-bit
+mask dropped where the value is provably in range, branch-free sign
+extension instead of ``s8/s16/s32`` calls, signed comparisons by
+sign-bit flip, identity folds on substituted field values and an
+open-coded aligned word load.  The interpreter's ``sim_`` functions,
+the superblock engine's plans, their fused-timing variants and the
+ahead-of-time modules therefore run the same statements for an
+instruction, and no later pass rewrites them.
 """
 
 from __future__ import annotations
@@ -57,7 +67,11 @@ MASK32 = 0xFFFFFFFF
 #: Memory-load intrinsics and the local aliases they compile to.
 _LOADS = {"M1": "ld1", "M2": "ld2", "M4": "ld4"}
 _STORE_SIZES = {"S1": 1, "S2": 2, "S4": 4}
-_HELPERS = {"s8", "s16", "s32", "sdiv", "srem"}
+_HELPERS = {"sdiv", "srem"}
+
+
+# The sign-extension intrinsics' definitions.  Generated code inlines
+# them (see :class:`_Emitter`); ``sdiv``/``srem`` stay helper calls.
 
 
 def s8(x: int) -> int:
@@ -93,13 +107,32 @@ def srem(a: int, b: int) -> int:
 
 
 #: Globals visible to generated simulation functions.
-SIM_GLOBALS: Dict[str, object] = {
-    "s8": s8,
-    "s16": s16,
-    "s32": s32,
-    "sdiv": sdiv,
-    "srem": srem,
-}
+SIM_GLOBALS: Dict[str, object] = {"sdiv": sdiv, "srem": srem}
+
+
+#: Sign-extension intrinsics: ``name -> (mask, sign bit)``.  Lowered
+#: to the branch-free ``((x & mask) ^ sign) - sign`` (see :class:`_Emitter`).
+_SIGN32 = 0x80000000
+_SEXT = {"s8": (0xFF, 0x80), "s16": (0xFFFF, 0x8000), "s32": (MASK32, _SIGN32)}
+
+#: ``M4(a)`` open-codes the aligned-word fast path of ``Memory.load4``:
+#: the masked address goes to ``_za``; an aligned address on a page
+#: with a word view (4 KiB pages, 32-bit words) indexes it directly,
+#: anything else calls the bound ``ld4``.  Big-endian hosts keep no
+#: word views, so ``_zg`` returns None and every load takes ``ld4``.
+#: The temporaries may be shared by several sites in one function:
+#: each site's uses sit between its own assignment and its result.
+_LOAD4 = (
+    "(_zw[(_za & 4095) >> 2] if not (_za := {}) & 3"
+    " and (_zw := _zg(_za >> 12)) is not None else ld4(_za))"
+)
+
+#: Operators congruent mod 2**32 in both operands (bit *i* of the
+#: result depends only on bits ``<= i`` of each); ``<<`` is congruent
+#: in its left operand.
+_RING_OPS = (ast.Add, ast.Sub, ast.Mult, ast.BitAnd, ast.BitOr, ast.BitXor)
+#: ``x <op> 0`` is ``x``.
+_ZERO_RIGHT = (ast.Add, ast.Sub, ast.LShift, ast.RShift, ast.BitOr, ast.BitXor)
 
 
 class _Emitter:
@@ -107,10 +140,10 @@ class _Emitter:
 
     ``direct`` switches W/S lowering from buffer appends to immediate
     register/memory writes (the superblock engine's translated mode).
-    ``subst`` maps field names (and ``IP``/``NIP``) to literal source
-    text, used when inlining an op instance into a superblock body;
-    ``local_prefix`` keeps behaviour-local variables of different
-    inlined instructions from colliding.
+    ``subst`` maps field names (and ``IP``/``NIP``) to integer values,
+    substituted as literals when inlining an op instance into a
+    superblock body; ``local_prefix`` keeps behaviour-local variables
+    of different inlined instructions from colliding.
 
     ``bundle`` (a :class:`_Bundle`) selects bundle mode: a W/S a later
     operation could observe lowers to bundle-local temporaries that the
@@ -119,6 +152,28 @@ class _Emitter:
     control part of a bundle's branch, which runs after that commit:
     register reads of registers the bundle writes come from the
     pre-commit snapshots the bundle takes.
+
+    Every mode lowers expressions with the same exact rewrites.  A
+    value is *clean* when it is provably in ``[0, 2**32)``: a register
+    read (snapshots included), a load, a literal in range, ``&`` with a
+    clean operand, ``|``/``^`` of clean operands, ``>>`` of a clean
+    value, or a conditional whose arms are clean.  Then:
+
+    * a 32-bit masked context — a ``W`` value (bundle temporaries
+      included), a ``JABS`` target, ``x & 0xFFFFFFFF`` — drops the
+      mask when its value is clean, and inside it ``s32(x)`` and inner
+      ``& 0xFFFFFFFF`` drop too (only the value mod 2**32 matters
+      there, which ``+ - * & | ^ ~``, unary ``-`` and the left operand
+      of ``<<`` preserve);
+    * ``sN(x)`` becomes ``((x & mask) ^ sign) - sign``, and ``s32`` of
+      a clean value ``(x ^ sign) - sign``;
+    * ``s32(a) < s32(b)`` (any ordering) compares ``a ^ 2**31`` with
+      ``b ^ 2**31``, both masked — an order-preserving map onto
+      ``[0, 2**32)`` — and ``==``/``!=`` compare the masked values;
+    * ``x + 0``, ``x - 0``, ``x << 0``, ``x >> 0``, ``x | 0``,
+      ``x ^ 0`` and ``x * 1`` fold once field values are literals;
+    * ``M4(a)`` open-codes the word-view fast path of
+      ``Memory.load4`` (:data:`_LOAD4`; the prologue binds ``_zg``).
     """
 
     def __init__(
@@ -126,7 +181,7 @@ class _Emitter:
         op: Operation,
         *,
         direct: bool = False,
-        subst: Optional[Dict[str, str]] = None,
+        subst: Optional[Dict[str, int]] = None,
         local_prefix: str = "",
         bundle: Optional["_Bundle"] = None,
         bundle_tail: bool = False,
@@ -146,59 +201,139 @@ class _Emitter:
     # -- expressions ---------------------------------------------------
 
     def expr(self, node: ast.expr) -> str:
+        return self._lower(node)[0]
+
+    def _literal(self, node: ast.expr) -> Optional[int]:
+        """The integer value of a literal or substituted field."""
         if isinstance(node, ast.Constant):
-            return repr(node.value)
+            value = node.value
+            return value if type(value) is int else None
+        if (
+            self.subst is not None
+            and isinstance(node, ast.Name)
+            and (node.id in self.field_names or node.id in ("IP", "NIP"))
+        ):
+            return self.subst[node.id]
+        return None
+
+    def _mask32(self, node: ast.expr) -> str:
+        """``node & 0xFFFFFFFF``, without the mask when it is clean."""
+        text, clean = self._lower(node, ring=True)
+        return text if clean else f"({text} & {MASK32})"
+
+    def _lower(self, node: ast.expr, ring: bool = False) -> Tuple[str, bool]:
+        """Lower ``node`` to ``(source, clean)``.
+
+        With ``ring`` only the value mod 2**32 matters (the caller
+        masks it); ``clean`` always describes the emitted source.
+        """
+        value = self._literal(node)
+        if value is not None:
+            return repr(value), 0 <= value <= MASK32
+        if isinstance(node, ast.Constant):
+            return repr(node.value), False
         if isinstance(node, ast.Name):
-            subst = self.subst
             if node.id == "NIP":
-                return subst["NIP"] if subst else "next_ip"
+                return "next_ip", False
             if node.id == "IP":
-                return subst["IP"] if subst else "ip"
+                return "ip", False
             if node.id in self.field_names:
-                return subst[node.id] if subst else node.id
+                return node.id, False
             if node.id in self.locals:
-                return self.local_prefix + node.id
+                return self.local_prefix + node.id, False
             raise BehaviorError(
                 f"operation {self.op.name!r}: unknown name {node.id!r}"
             )
         if isinstance(node, ast.BinOp):
-            return f"({self.expr(node.left)} {_BINOPS[type(node.op)]} {self.expr(node.right)})"
+            return self._binop(node, ring)
         if isinstance(node, ast.UnaryOp):
-            return f"({_UNARYOPS[type(node.op)]}{self.expr(node.operand)})"
+            inner = ring and isinstance(node.op, (ast.USub, ast.Invert))
+            text = self._lower(node.operand, inner)[0]
+            return f"({_UNARYOPS[type(node.op)]}{text})", False
         if isinstance(node, ast.BoolOp):
             joiner = " and " if isinstance(node.op, ast.And) else " or "
-            return "(" + joiner.join(self.expr(v) for v in node.values) + ")"
+            text = joiner.join(self.expr(v) for v in node.values)
+            return f"({text})", False
         if isinstance(node, ast.Compare):
-            parts = [self.expr(node.left)]
-            for op_, comp in zip(node.ops, node.comparators):
-                parts.append(_CMPOPS[type(op_)])
-                parts.append(self.expr(comp))
-            return "(" + " ".join(parts) + ")"
+            return self._compare(node), False
         if isinstance(node, ast.IfExp):
+            body, body_clean = self._lower(node.body, ring)
+            orelse, orelse_clean = self._lower(node.orelse, ring)
             return (
-                f"({self.expr(node.body)} if {self.expr(node.test)} "
-                f"else {self.expr(node.orelse)})"
+                f"({body} if {self.expr(node.test)} else {orelse})",
+                body_clean and orelse_clean,
             )
         if isinstance(node, ast.Call):
-            return self._call_expr(node)
+            return self._call_expr(node, ring)
         raise BehaviorError(
             f"operation {self.op.name!r}: unsupported expression "
             f"{type(node).__name__}"
         )
 
-    def _call_expr(self, node: ast.Call) -> str:
+    def _binop(self, node: ast.BinOp, ring: bool) -> Tuple[str, bool]:
+        op = node.op
+        left = self._literal(node.left)
+        right = self._literal(node.right)
+        if right == 0 and isinstance(op, _ZERO_RIGHT):
+            return self._lower(node.left, ring)
+        if right == 1 and isinstance(op, ast.Mult):
+            return self._lower(node.left, ring)
+        if isinstance(op, ast.BitAnd) and MASK32 in (left, right):
+            other = node.left if right == MASK32 else node.right
+            return self._mask32(other), True
+        ring_op = ring and isinstance(op, _RING_OPS)
+        l_text, l_clean = self._lower(
+            node.left, ring_op or (ring and isinstance(op, ast.LShift))
+        )
+        r_text, r_clean = self._lower(node.right, ring_op)
+        if isinstance(op, ast.BitAnd):
+            clean = l_clean or r_clean
+        elif isinstance(op, (ast.BitOr, ast.BitXor)):
+            clean = l_clean and r_clean
+        else:
+            clean = isinstance(op, ast.RShift) and l_clean
+        return f"({l_text} {_BINOPS[type(op)]} {r_text})", clean
+
+    def _compare(self, node: ast.Compare) -> str:
+        if len(node.ops) == 1:
+            left, right = node.left, node.comparators[0]
+            op = node.ops[0]
+            if _is_s32(left) and _is_s32(right):
+                a = self._mask32(left.args[0])
+                b = self._mask32(right.args[0])
+                if not isinstance(op, (ast.Eq, ast.NotEq)):
+                    a, b = f"({a} ^ {_SIGN32})", f"({b} ^ {_SIGN32})"
+                return f"({a} {_CMPOPS[type(op)]} {b})"
+        parts = [self.expr(node.left)]
+        for op_, comp in zip(node.ops, node.comparators):
+            parts.append(_CMPOPS[type(op_)])
+            parts.append(self.expr(comp))
+        return "(" + " ".join(parts) + ")"
+
+    def _call_expr(self, node: ast.Call, ring: bool) -> Tuple[str, bool]:
         name = node.func.id  # validated to be ast.Name by parse_behavior
-        args = [self.expr(a) for a in node.args]
         if name == "R":
             self.uses_regs = True
-            if self.bundle_tail and args[0] in self.bundle.written:
-                return self.bundle.snapshot(args[0])
-            return f"regs[{args[0]}]"
+            reg = self.expr(node.args[0])
+            if self.bundle_tail and reg in self.bundle.written:
+                return self.bundle.snapshot(reg), True
+            return f"regs[{reg}]", True
         if name in _LOADS:
             self.uses_loads.add(name)
-            return f"{_LOADS[name]}({args[0]})"
+            if name == "M4":
+                return _LOAD4.format(self._mask32(node.args[0])), True
+            return f"{_LOADS[name]}({self.expr(node.args[0])})", True
+        if name in _SEXT:
+            if name == "s32" and ring:
+                return self._lower(node.args[0], True)
+            mask, sign = _SEXT[name]
+            text, clean = self._lower(node.args[0], True)
+            if not (name == "s32" and clean):
+                text = f"({text} & {mask})"
+            return f"(({text} ^ {sign}) - {sign})", False
         if name in _HELPERS:
-            return f"{name}({', '.join(args)})"
+            args = ", ".join(self.expr(a) for a in node.args)
+            return f"{name}({args})", False
         raise BehaviorError(
             f"operation {self.op.name!r}: {name}() is not a value intrinsic"
         )
@@ -234,63 +369,57 @@ class _Emitter:
 
     def _call_stmt(self, node: ast.Call, indent: str, out: List[str]) -> None:
         name = node.func.id
-        args = [self.expr(a) for a in node.args]
+        args = node.args
         if self.bundle is not None and name not in ("BR", "JABS"):
-            self._bundle_stmt(name, node, args, indent, out)
+            self._bundle_stmt(name, node, indent, out)
             return
         if name == "W":
+            reg = self.expr(args[0])
+            value = self._mask32(args[1])
             if self.direct:
                 # Immediate write; the guard keeps r0 hard-wired to 0
                 # (folded away when the target register is a literal).
-                if args[0].isdigit():
-                    if int(args[0]) != 0:
+                if reg.isdigit():
+                    if int(reg) != 0:
                         self.uses_regs = True
-                        out.append(
-                            f"{indent}regs[{args[0]}] = "
-                            f"({args[1]}) & {MASK32}"
-                        )
+                        out.append(f"{indent}regs[{reg}] = {value}")
                     return
                 self.uses_regs = True
-                out.append(f"{indent}if {args[0]}:")
-                out.append(
-                    f"{indent}    regs[{args[0]}] = ({args[1]}) & {MASK32}"
-                )
+                out.append(f"{indent}if {reg}:")
+                out.append(f"{indent}    regs[{reg}] = {value}")
             else:
-                out.append(
-                    f"{indent}regwr.append(({args[0]}, ({args[1]}) & {MASK32}))"
-                )
+                out.append(f"{indent}regwr.append(({reg}, {value}))")
         elif name in _STORE_SIZES:
             size = _STORE_SIZES[name]
+            addr, value = self.expr(args[0]), self.expr(args[1])
             if self.direct:
                 self.uses_stores.add(size)
-                out.append(f"{indent}st{size}({args[0]}, {args[1]})")
+                out.append(f"{indent}st{size}({addr}, {value})")
             else:
-                out.append(
-                    f"{indent}memwr.append(({size}, {args[0]}, {args[1]}))"
-                )
+                out.append(f"{indent}memwr.append(({size}, {addr}, {value}))")
         elif name == "BR":
-            nip = self.subst["NIP"] if self.subst else "next_ip"
-            out.append(f"{indent}return {nip} + (({args[0]}) << 2)")
+            nip = repr(self.subst["NIP"]) if self.subst else "next_ip"
+            out.append(f"{indent}return {nip} + ({self.expr(args[0])} << 2)")
         elif name == "JABS":
-            out.append(f"{indent}return ({args[0]}) & {MASK32}")
+            out.append(f"{indent}return {self._mask32(args[0])}")
         elif name == "SWITCH":
-            out.append(f"{indent}state.switch_isa({args[0]})")
+            out.append(f"{indent}state.switch_isa({self.expr(args[0])})")
         elif name == "SIM":
-            out.append(f"{indent}return state.simop({args[0]})")
+            out.append(f"{indent}return state.simop({self.expr(args[0])})")
         elif name == "HALT":
             out.append(f"{indent}state.halted = True")
         else:
             # A value intrinsic used for its side effect — emit as-is.
-            out.append(f"{indent}{self._call_expr(node)}")
+            out.append(f"{indent}{self.expr(node)}")
 
     def _bundle_stmt(
-        self, name: str, node: ast.Call, args: List[str], indent: str,
-        out: List[str],
+        self, name: str, node: ast.Call, indent: str, out: List[str],
     ) -> None:
         """Bundle mode: a W/S whose effect a later operation of the
         bundle could observe computes into temporaries that the bundle
         commits after its last operation; any other writes in place."""
         bundle = self.bundle
+        args = node.args
         if name == "W" or name in _STORE_SIZES:
             if self.bundle_tail or indent != bundle.indent:
                 # A write the commit could not order statically (under
@@ -300,7 +429,7 @@ class _Emitter:
                     "cannot be bundled"
                 )
             if name == "W":
-                reg = args[0]
+                reg = self.expr(args[0])
                 if not reg.isdigit():
                     raise BehaviorError(
                         f"operation {self.op.name!r}: computed register "
@@ -310,33 +439,42 @@ class _Emitter:
                     return
                 self.uses_regs = True
                 bundle.written.add(reg)
+                value = self._mask32(args[1])
                 if bundle.later_reads is None or reg in bundle.later_reads \
                         or reg in bundle.deferred:
                     temp = bundle.temp()
-                    out.append(f"{indent}{temp} = ({args[1]}) & {MASK32}")
+                    out.append(f"{indent}{temp} = {value}")
                     bundle.writes.append((reg, temp))
                     bundle.deferred.add(reg)
                 else:
-                    out.append(
-                        f"{indent}regs[{reg}] = ({args[1]}) & {MASK32}"
-                    )
+                    out.append(f"{indent}regs[{reg}] = {value}")
                 return
             size = _STORE_SIZES[name]
             self.uses_stores.add(size)
+            addr, value = self.expr(args[0]), self.expr(args[1])
             if bundle.later_loads or bundle.stores:
-                addr, value = bundle.temp(), bundle.temp()
-                out.append(f"{indent}{addr} = {args[0]}")
-                out.append(f"{indent}{value} = {args[1]}")
-                bundle.stores.append((size, addr, value))
+                addr_t, value_t = bundle.temp(), bundle.temp()
+                out.append(f"{indent}{addr_t} = {addr}")
+                out.append(f"{indent}{value_t} = {value}")
+                bundle.stores.append((size, addr_t, value_t))
             else:
-                out.append(f"{indent}st{size}({args[0]}, {args[1]})")
+                out.append(f"{indent}st{size}({addr}, {value})")
             return
         if name in ("SWITCH", "SIM", "HALT"):
             # Machine-state side effects mid-bundle: buffered only.
             raise BehaviorError(
                 f"operation {self.op.name!r}: {name}() cannot be bundled"
             )
-        out.append(f"{indent}{self._call_expr(node)}")
+        out.append(f"{indent}{self.expr(node)}")
+
+
+def _is_s32(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "s32"
+        and len(node.args) == 1
+    )
 
 
 _BINOPS = {
@@ -349,6 +487,22 @@ _CMPOPS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
     ast.Gt: ">", ast.GtE: ">=",
 }
+
+
+def access_prologue(uses_regs: bool, loads, stores=()) -> List[str]:
+    """Prologue lines binding what generated statements access: the
+    register file, the ``ldN``/``stN`` aliases of the loads and stores
+    (intrinsic names and sizes) and, for open-coded ``M4``, ``_zg``."""
+    out: List[str] = []
+    if uses_regs:
+        out.append("    regs = state.regs")
+    for intrinsic in sorted(loads):
+        out.append(f"    {_LOADS[intrinsic]} = state.mem.load{intrinsic[1]}")
+    if "M4" in loads:
+        out.append("    _zg = state.mem._views.get")
+    for size in sorted(stores):
+        out.append(f"    st{size} = state.mem.store{size}")
+    return out
 
 
 def sim_function_name(op: Operation) -> str:
@@ -430,15 +584,9 @@ def generate_direct_sim_source(op: Operation) -> Optional[str]:
     for stmt in tree.body:
         emitter.stmt(stmt, "    ", body)
 
-    prologue: List[str] = []
-    if emitter.uses_regs:
-        prologue.append("    regs = state.regs")
-    for intrinsic in sorted(emitter.uses_loads):
-        alias = _LOADS[intrinsic]
-        size = intrinsic[1]
-        prologue.append(f"    {alias} = state.mem.load{size}")
-    for size in sorted(emitter.uses_stores):
-        prologue.append(f"    st{size} = state.mem.store{size}")
+    prologue = access_prologue(
+        emitter.uses_regs, emitter.uses_loads, emitter.uses_stores
+    )
     for index, f in enumerate(op.value_fields):
         prologue.append(f"    {f.name} = v[{index}]")
 
@@ -521,12 +669,9 @@ def inline_direct_stmts(
         if cached is not None:
             return cached
     tree = _parse_cached(op)
-    subst = {
-        f.name: repr(values[index])
-        for index, f in enumerate(op.value_fields)
-    }
-    subst["IP"] = repr(ip)
-    subst["NIP"] = repr(next_ip)
+    subst = {f.name: values[index] for index, f in enumerate(op.value_fields)}
+    subst["IP"] = ip
+    subst["NIP"] = next_ip
     emitter = _Emitter(op, direct=True, subst=subst, local_prefix="_t_")
     out: List[str] = []
     for stmt in tree.body:
@@ -713,9 +858,7 @@ def inline_bundle_stmts(
                 else:
                     bundle.later_reads |= regs_read
                 bundle.later_loads = bundle.later_loads or loads_mem
-            subst = {name: repr(value) for name, value in fields.items()}
-            subst["IP"] = repr(ip)
-            subst["NIP"] = repr(next_ip)
+            subst = dict(fields, IP=ip, NIP=next_ip)
             emitter = _Emitter(
                 op, direct=True, subst=subst,
                 local_prefix=f"_t{index}_", bundle=bundle,
@@ -771,13 +914,7 @@ def generate_sim_function_source(op: Operation) -> str:
     for stmt in tree.body:
         emitter.stmt(stmt, "    ", body)
 
-    prologue: List[str] = []
-    if emitter.uses_regs:
-        prologue.append("    regs = state.regs")
-    for intrinsic in sorted(emitter.uses_loads):
-        alias = _LOADS[intrinsic]
-        size = intrinsic[1]
-        prologue.append(f"    {alias} = state.mem.load{size}")
+    prologue = access_prologue(emitter.uses_regs, emitter.uses_loads)
     for index, f in enumerate(op.value_fields):
         prologue.append(f"    {f.name} = v[{index}]")
 

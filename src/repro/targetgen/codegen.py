@@ -28,16 +28,6 @@ _HELPER_SOURCE = '''\
 MASK32 = 0xFFFFFFFF
 
 
-def s8(x):
-    x &= 0xFF
-    return x - 0x100 if x & 0x80 else x
-
-
-def s16(x):
-    x &= 0xFFFF
-    return x - 0x10000 if x & 0x8000 else x
-
-
 def s32(x):
     x &= MASK32
     return x - 0x100000000 if x & 0x80000000 else x

@@ -14,6 +14,8 @@ mid-run.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.adl.kahrisma import KAHRISMA
@@ -51,6 +53,7 @@ from .conftest import (
     MATRIX,
     assert_equivalent,
     built_benchmark,
+    make_model,
     run_cell,
 )
 from .test_sim_interpreter import enc, make_state
@@ -292,15 +295,19 @@ class TestGuestTrap:
     @pytest.mark.parametrize("engine", ["predict", "superblock", "aot"])
     def test_terminator_trap_keeps_the_block_body(self, risc_table, engine):
         """An unknown simop traps in its block's terminator: the three
-        adds of the block body before it still count."""
+        adds of the block body before it still count, and the trap
+        reports the simop's IP, as on the per-instruction engines."""
         words = [enc(risc_table, "addi", rd=5, rs1=5, imm=1)] * 3 + [
             enc(risc_table, "simop", imm=999)
         ]
         built = FuzzBuilt(elf=words_elf(words), link_info=None,
                           arch=KAHRISMA, asm="")
+        reference = run_config(built, EngineConfig("predict", "doe"))
         got = run_config(built, EngineConfig(engine, "doe"))
         assert "simop 999" in got.error
+        assert f"ip={TEXT_BASE + 12:#010x}" in got.error
         assert got.stats["executed_instructions"] == 3
+        assert compare(reference, got) == []
 
 
 class TestSelfModifyingCode:
@@ -458,6 +465,34 @@ class TestModuleCache:
         interp.run()
         assert program.state.regs[5] == 7
         assert program.state.halted
+
+
+class TestGeneratedSource:
+    """Every tier runs the behaviour compiler's final lowering."""
+
+    @pytest.mark.parametrize("kind", ["none", "doe"])
+    def test_pinned_module_and_plans(self, kind):
+        """No sign-extension helper call and no plain ``ld4`` call in
+        the module or the superblock variants it was built from, and
+        no statement after a colon that register promotion would miss
+        (a ``return`` or a register store)."""
+        built = built_benchmark("dct4x4@pinned")
+        model = make_model(kind, built.widest_issue_width, "default")
+        module, per_entry, _report = aot.compile_module(
+            built.elf, built.arch, model=model, profile_budget=CAP,
+        )
+        variants = [source for _plan, translated in per_entry.values()
+                    for source, _code in translated.values()]
+        assert variants
+        for source in [module.source] + variants:
+            assert not re.search(r"\bs(?:8|16|32)\(", source)
+            assert (len(re.findall(r"\bld4\(", source))
+                    == len(re.findall(r"\bld4\(_za\)", source)))
+            for line in source.split("\n"):
+                assert not re.search(
+                    r":\s*(?:return\b|regs\[\d+\] =)", line
+                ), line
+        assert "_zw[(_za & 4095) >> 2]" in module.source
 
 
 class TestBoundedMemos:

@@ -15,6 +15,11 @@ Plus the AOT engine with a warm persistent plan cache:
 * ``aot baseline``      — dense-table dispatch, no observability;
 * ``aot streamed``      — same run with events *and* flight attached.
 
+Each configuration is timed against its baseline in ``--pairs``
+alternating pairs (default 11) and its overhead is the median of the
+per-pair time ratios: one run lasts 0.1-0.2 s, so a comparison of
+single or best-of-N timings reads host noise.
+
 Writes one JSON document (CI uploads it as an artifact) containing the
 run report of the metrics-enabled run plus the measured overheads, and
 exits non-zero when:
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -55,8 +61,8 @@ from repro.telemetry import (  # noqa: E402
 )
 
 
-def best_of(built, repeats, engine="superblock", setup=None, **run_kwargs):
-    """Best (fastest) wall-clock seconds and the last RunResult.
+def timed(built, engine="superblock", setup=None, **run_kwargs):
+    """A zero-argument callable timing one run: ``(seconds, RunResult)``.
 
     ``setup`` (optional) is called before every timed run and returns
     ``(extra_kwargs, cleanup)`` — fresh per-run observers (an event
@@ -65,9 +71,7 @@ def best_of(built, repeats, engine="superblock", setup=None, **run_kwargs):
     stream/flight construction cost is negligible, the close is not
     timed because a long-running simulation amortizes it to nothing.
     """
-    best = None
-    result = None
-    for _ in range(repeats):
+    def once():
         kwargs = dict(run_kwargs)
         cleanup = None
         if setup is not None:
@@ -78,17 +82,44 @@ def best_of(built, repeats, engine="superblock", setup=None, **run_kwargs):
         elapsed = time.perf_counter() - start
         if cleanup is not None:
             cleanup()
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
+        return elapsed, result
+
+    return once
+
+
+def paired(pairs, baseline, config):
+    """Time ``config`` against ``baseline`` in alternating pairs.
+
+    Each pair runs both back to back, the order flipping every pair,
+    so a drift in host speed hits both sides alike; the overhead is
+    the median of the per-pair time ratios.  Returns ``(median ratio,
+    median baseline seconds, median config seconds, last config
+    RunResult)``.
+    """
+    ratios, base_times, config_times = [], [], []
+    result = None
+    for index in range(pairs):
+        if index % 2:
+            config_s, result = config()
+            base_s, _ = baseline()
+        else:
+            base_s, _ = baseline()
+            config_s, result = config()
+        ratios.append(config_s / base_s)
+        base_times.append(base_s)
+        config_times.append(config_s)
+    return (statistics.median(ratios), statistics.median(base_times),
+            statistics.median(config_times), result)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", default="cjpeg",
                         help="bundled workload (default cjpeg)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per configuration; best kept (default 3)")
+    parser.add_argument("--pairs", type=int, default=11,
+                        help="alternating baseline/configuration run pairs "
+                             "per configuration; the median paired ratio "
+                             "is gated (default 11)")
     parser.add_argument("--max-regression", type=float, default=0.10,
                         help="allowed metrics-enabled slowdown fraction "
                              "(default 0.10 = 10%%)")
@@ -102,8 +133,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     built = build_benchmark(args.program)
-    print(f"measuring {args.program} (best of {args.repeats}) ...",
-          flush=True)
+    print(f"measuring {args.program} ({args.pairs} alternating pairs "
+          f"per configuration) ...", flush=True)
 
     with tempfile.TemporaryDirectory() as workdir:
         events_path = os.path.join(workdir, "events.ndjson")
@@ -117,16 +148,22 @@ def main(argv=None) -> int:
         def flight_setup():
             return {"flight": FlightRecorder(capacity=512)}, None
 
-        base_s, base_res = best_of(built, args.repeats)
-        metrics_s, metrics_res = best_of(built, args.repeats,
-                                         collect_metrics=True)
-        profile_s, _ = best_of(
-            built, args.repeats, profiler=HotspotProfiler(mode="block")
+        baseline = timed(built)
+        metrics_ratio, base_s, metrics_s, metrics_res = paired(
+            args.pairs, baseline, timed(built, collect_metrics=True)
         )
-        stream_s, _ = best_of(built, args.repeats, setup=stream_setup)
+        profile_ratio, _, profile_s, _ = paired(
+            args.pairs, baseline,
+            timed(built, profiler=HotspotProfiler(mode="block")),
+        )
+        stream_ratio, _, stream_s, _ = paired(
+            args.pairs, baseline, timed(built, setup=stream_setup)
+        )
         with open(events_path, encoding="utf-8") as fh:
             stream_events = sum(1 for line in fh if line.strip())
-        flight_s, _ = best_of(built, args.repeats, setup=flight_setup)
+        flight_ratio, _, flight_s, _ = paired(
+            args.pairs, baseline, timed(built, setup=flight_setup)
+        )
 
         # AOT engine: warm persistent plan cache shared by both
         # configurations so the comparison is steady-state vs
@@ -148,21 +185,23 @@ def main(argv=None) -> int:
             extra["flight"] = FlightRecorder(capacity=512)
             return extra, stream.close
 
-        aot_base_s, _ = best_of(built, args.repeats, engine="aot",
-                                setup=aot_setup)
-        aot_obs_s, _ = best_of(built, args.repeats, engine="aot",
-                               setup=aot_stream_setup)
+        aot_ratio, aot_base_s, aot_obs_s, _ = paired(
+            args.pairs,
+            timed(built, engine="aot", setup=aot_setup),
+            timed(built, engine="aot", setup=aot_stream_setup),
+        )
 
-    instructions = base_res.stats.executed_instructions
-    metrics_overhead = metrics_s / base_s - 1.0
-    profile_overhead = profile_s / base_s - 1.0
-    stream_overhead = stream_s / base_s - 1.0
-    flight_overhead = flight_s / base_s - 1.0
-    aot_obs_overhead = aot_obs_s / aot_base_s - 1.0
+    instructions = metrics_res.stats.executed_instructions
+    metrics_overhead = metrics_ratio - 1.0
+    profile_overhead = profile_ratio - 1.0
+    stream_overhead = stream_ratio - 1.0
+    flight_overhead = flight_ratio - 1.0
+    aot_obs_overhead = aot_ratio - 1.0
     document = {
         "benchmark": "telemetry_overhead",
         "program": args.program,
         "instructions": instructions,
+        "pairs": args.pairs,
         "baseline_seconds": round(base_s, 4),
         "metrics_seconds": round(metrics_s, 4),
         "profile_seconds": round(profile_s, 4),
